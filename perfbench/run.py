@@ -2,12 +2,12 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload figure5 --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --all --seconds 30          # every workload, one table
+    python3 perfbench/run.py --workload figure5 --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --all --seconds 40          # every workload, one table
 
 One run warms up (builds the kernel's C backend into a benchmark-owned
 cache, writes streamed traces), then starts fresh-process samples of the
-workload, each after two set-up probes, until ``--seconds`` are used, and
+workload, each after a set-up probe, until ``--seconds`` are used, and
 finally checks the outputs: every row's simulated columns against the
 digest recorded in ``digests.json`` for the workload and seed, or, for
 an unrecorded seed, one application's cells re-simulated on a second
@@ -41,14 +41,13 @@ import measure  # noqa: E402
 from spec import WORKLOADS, Workload  # noqa: E402
 
 #: set-up probes before each sample, on top of the sample's own set-up
-SETUP_PROBES = 2
+SETUP_PROBES = 1
 #: longest any child may take before it is killed
 CHILD_TIMEOUT_S = 150.0
 #: stderr lines that count as errors a run swallowed
 STDERR_ERROR_MARKS = ("Exception ignored", "Traceback (most recent call last)")
 
-END_TO_END_UNITS = {"wall_s": "s", "cpu_s": "s", "setup_s": "s",
-                    "peak_rss_mb": "MB"}
+END_TO_END_UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
 
 
 class ChildFailed(RuntimeError):
@@ -143,14 +142,18 @@ def measure_workload(w: Workload, seed: int, seconds: float, trace: bool,
                 warnings.extend(notes)
                 traced = None
         setups: List[float] = []
+        cals: List[float] = []
         while True:
             t = time.monotonic()
             # set-up probes ride along with every sample, so the set-up
-            # median spans the whole run like the samples do
+            # figure spans the whole run like the samples do
             for _ in range(0 if trace else SETUP_PROBES):
                 res, spawned, _ = run_child("setup", w, seed, run_dir)
                 setups.append(res["ready"] - spawned)
+                cals.extend(res["cal"])
             samples.append(_sample(w, seed, run_dir, log))
+            if samples[-1] is not None:
+                cals.extend(samples[-1]["cal"])
             durations.append(time.monotonic() - t)
             if time.monotonic() - start + measure.median(durations) > seconds:
                 break
@@ -188,7 +191,7 @@ def measure_workload(w: Workload, seed: int, seconds: float, trace: bool,
             failed += min(w.cells, len(bad) + s["run_failures"])
         ok = [s for s in samples if s is not None]
         return {"workload": w, "seed": seed, "samples": ok, "traced": traced,
-                "setups": setups + [s["setup_s"] for s in ok],
+                "setups": setups + [s["setup_s"] for s in ok], "cals": cals,
                 "attempted": attempted, "failed": failed, "log": log,
                 "warnings": warnings, "backend": warm["backend"]}
     finally:
@@ -196,13 +199,18 @@ def measure_workload(w: Workload, seed: int, seconds: float, trace: bool,
 
 
 def end_to_end(result: dict) -> Dict[str, Tuple[float, str]]:
+    """The gated metrics. Times are fastest observations (of each
+    simulation for ``wall_s``, of the set-up probes for ``setup_s``) in
+    seconds at the reference host speed; see ``measure.host_speed``.
+    """
     samples = result["samples"]
     if not samples:
         return {}
+    speed = measure.host_speed(result["cals"])
     out = {
-        "wall_s": measure.median([s["wall_s"] for s in samples]),
-        "cpu_s": measure.median([s["cpu_s"] for s in samples]),
-        "setup_s": measure.median(result["setups"]),
+        "wall_s": speed * measure.fastest_parts(
+            [(s["wall_s"], s["parts"]) for s in samples]),
+        "setup_s": speed * min(result["setups"]),
         "peak_rss_mb": measure.median([s["peak_rss_mb"] for s in samples]),
     }
     return {k: (v, END_TO_END_UNITS[k]) for k, v in out.items()}
@@ -233,14 +241,24 @@ def print_report(result: dict, metrics: Dict[str, Tuple[float, str]]) -> None:
           f"({result['failed']}/{result['attempted']} runs)")
     samples = result["samples"]
     if samples:
-        # throughput is 1/wall_s at a fixed input, so it is reported but
-        # not gated: gating it would double-count wall_s's noise
+        # throughput is 1/wall_s at a fixed input and cpu_s tracks wall_s
+        # at -j1, so both are reported but not gated: gating them would
+        # count the same noise twice
         refs_per_s = measure.median([s["refs"] / s["wall_s"] for s in samples])
         print(f"  {'refs_per_s':<36} {refs_per_s:>16.6g} 1/s "
-              f"({samples[0]['refs']} refs)")
+              f"({samples[0]['refs']} refs, median, as measured)")
+        cpu = measure.median([s["cpu_s"] for s in samples])
+        print(f"  {'cpu_s':<36} {cpu:>16.6g} s (median, as measured)")
+    if result["cals"]:
+        print(f"  host speed {measure.host_speed(result['cals']):.4f} of the "
+              f"reference ({len(result['cals'])} calibration probes)")
     walls = [s["wall_s"] for s in samples]
-    print(f"  sample wall_s: {', '.join(f'{x:.3f}' for x in walls)} "
+    print(f"  sample wall_s as measured: {', '.join(f'{x:.3f}' for x in walls)} "
           f"(quartile spread {measure.spread(walls):.3f})")
+    if result["setups"]:
+        print(f"  set-up as measured: median {measure.median(result['setups']):.4f}"
+              f" s, fastest {min(result['setups']):.4f} s "
+              f"({len(result['setups'])} probes)")
     traced = result["traced"]
     first = traced or (result["samples"] or [None])[0]
     if first:
@@ -271,7 +289,7 @@ def main(argv=None) -> int:
     ap.add_argument("--all", action="store_true",
                     help="run every workload and print one table")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--record", action="store_true",
                     help="record the digest of a seed that passes the "

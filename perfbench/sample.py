@@ -4,14 +4,16 @@ Started by ``run.py`` in a fresh interpreter for every sample, so each
 sample pays (and reports) the set-up a user pays. Modes:
 
 ``setup``   import ``repro`` plus its scenarios and load the kernel
-            backend, then stop: the time to "ready".
+            backend, then stop: the time to "ready". After "ready" it
+            runs one calibration probe (``measure.calibrate``).
             The first call in a checkout also builds the C backend into
             ``REPRO_KERNEL_CACHE``; the result names the backend.
 ``prep``    write the workload's traces to ``.rpt`` files (streamed
             workloads only).
 ``sample``  run the workload's scenario once and report the end-to-end
-            numbers, the rows' hashes and the claim checks; ``--traced``
-            adds the per-layer spans.
+            numbers, each simulation's own time, the rows' hashes and the
+            claim checks, with a calibration probe before and after the
+            timed run; ``--traced`` adds the per-layer spans.
 ``xcheck``  re-run one application's cells on the workload's second
             engine, untimed, and report the rows' hashes.
 
@@ -129,12 +131,14 @@ def _sample(w: Workload, seed: int, work: Path, traced: bool,
         except Exception as exc:   # tracing must never cost the sample
             out["tracing_error"] = f"{type(exc).__name__}: {exc}"
             traced = False
+    cal = [measure.calibrate()]
     cpu0 = _cpu_s()
     t0 = time.perf_counter()
     rs, runner = _run(w, seed, work, engine=w.engine,
                       apps=_apps(w, work / "traces"), store=w.store)
     wall = time.perf_counter() - t0
     cpu = _cpu_s() - cpu0
+    cal.append(measure.calibrate())
 
     profiles = [r.stats.engine_profile for r in runner.iter_results()
                 if isinstance(r.stats.engine_profile, dict)]
@@ -158,8 +162,14 @@ def _sample(w: Workload, seed: int, work: Path, traced: bool,
     failed_claims = [c["claim"] for c in claims if not c["passed"]]
     if failed_claims:
         problems.append("claims failed: " + "; ".join(failed_claims))
+    # each simulation's own timer, in execution order; with workers the
+    # simulations overlap, so only a serial sweep is split into parts
+    parts = [float(p["wall_s"]) for p in profiles if "wall_s" in p]
+    if w.jobs != 1 or len(parts) != len(profiles):
+        parts = []
     out.update({
         "wall_s": wall, "cpu_s": cpu, "peak_rss_mb": _peak_rss_mb(),
+        "parts": parts, "cal": cal,
         "refs": refs, "rows": measure.row_hashes(rs.rows),
         "claims": claims, "problems": problems,
         "backends": sorted({str(p["backend"]) for p in profiles
@@ -202,8 +212,13 @@ def main(argv=None) -> int:
     ap.add_argument("--trace-out", type=Path, default=None)
     args = ap.parse_args(argv)
     w = WORKLOADS[args.workload]
+    if w.jobs == 1 and hasattr(os, "sched_setaffinity"):
+        # every child of a serial workload runs on the same CPU, so the
+        # calibration probes time the vCPU the samples run on
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     if args.mode == "setup":
         result = _setup()
+        result["cal"] = [measure.calibrate()]
     elif args.mode == "prep":
         result = _prep(w, args.seed, args.work / "traces")
     elif args.mode == "sample":

@@ -69,7 +69,7 @@ WORKLOADS = {
             name="table4-streamed",
             why=("Table 4 on the pure-Python batched engine with traces "
                  "streamed from .rpt files: no kernel, pool or store"),
-            scenario="table4", scale=0.15, jobs=1, engine="batched", cells=21,
+            scenario="table4", scale=0.1, jobs=1, engine="batched", cells=21,
             streamed=True, claims="table4", n_claims=3,
             xcheck_engine="kernel", xcheck_app="ocean"),
     )

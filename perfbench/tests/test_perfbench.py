@@ -45,6 +45,37 @@ def test_spread_uses_exclusive_quartiles_over_median():
     assert measure.spread([2.0, 2.0, 2.0]) == 0.0
 
 
+def test_fastest_parts_takes_each_simulation_at_its_fastest():
+    samples = [(10.0, [3.0, 4.0]),    # rest 3.0
+               (9.0, [4.0, 3.0]),     # rest 2.0
+               (12.0, [5.0, 5.0])]    # rest 2.0
+    assert measure.fastest_parts(samples) == pytest.approx(2.0 + 3.0 + 3.0)
+    # never slower than the fastest whole sample
+    assert measure.fastest_parts(samples) <= min(w for w, _ in samples)
+
+
+def test_fastest_parts_falls_back_to_whole_samples():
+    assert measure.fastest_parts([(5.0, []), (4.0, [])]) == 4.0
+    assert measure.fastest_parts([(5.0, [1.0]), (4.0, [1.0, 2.0])]) == 4.0
+    with pytest.raises(ValueError):
+        measure.fastest_parts([])
+
+
+def test_host_speed_is_relative_to_the_reference_probe():
+    ref = measure.CAL_REF_S
+    # the lower quartile: one freak fast probe does not move it
+    assert measure.host_speed([ref / 2] + [ref] * 8) == pytest.approx(1.0)
+    # a host that stayed twice as slow all run halves the speed
+    assert measure.host_speed([2 * ref] * 5) == pytest.approx(0.5)
+    assert measure.host_speed([2 * ref]) == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        measure.host_speed([])
+
+
+def test_calibrate_returns_a_positive_time():
+    assert 0.0 < measure.calibrate(reps=2, n=1000) < 1.0
+
+
 def test_failed_share():
     assert measure.failed_share(0, 49) == 0.0
     assert measure.failed_share(7, 49) == pytest.approx(1 / 7)
