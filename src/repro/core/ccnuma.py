@@ -11,7 +11,8 @@ Two variants are produced by the factory:
 * ``perfect`` — the normalisation baseline with an *infinite* block cache,
   which therefore never suffers capacity/conflict remote misses (only cold
   and coherence ones).  The perfect system is built simply by constructing
-  the machine with ``capacity_blocks=None``; the protocol code is shared.
+  the machine with ``capacity_blocks=None``; the protocol code is shared,
+  down to the flat frame arrays both kinds of cache index.
 """
 
 from __future__ import annotations
@@ -49,58 +50,37 @@ class CCNUMAProtocol(DSMProtocol):
         # inlined Directory.version
         versions = self._dir_version
         version = versions[block] if block < len(versions) else 0
-        cap = self._bc_caps[node]
+        idx = block % self._bc_caps[node]
+        bb = self._bc_blocks[node]
+        if idx >= len(bb):
+            # only an infinite cache's frames can end below a block id
+            self.block_caches[node].reserve(idx + 1)
+        bv = self._bc_versions[node]
+        bd = self._bc_dirty[node]
         bc_stats = self._bc_stats[node]
 
-        if cap is None:
-            # infinite (perfect CC-NUMA) cache: block -> (version, dirty)
-            store = self._bc_store[node]
-            entry = store.get(block)
-            if entry is not None:
-                stored = entry[0]
-                if stored >= version:
-                    bc_stats.hits += 1
-                    self.node_stats[node].block_cache_hits += 1
-                    if is_write:
-                        extra, version = self._directory_write(node, block)
-                        store[block] = (version if version > stored else stored,
-                                        True)
-                        return self._local_miss_cost + extra, version, False
-                    return self._local_miss_cost, version, False
-                # stale copy: drop it so the fill below refreshes it
-                del store[block]
-                bc_stats.invalidations += 1
-        else:
-            # finite cache: flat (blocks, versions, dirty) frame arrays
-            idx = block % cap
-            bb = self._bc_blocks[node]
-            bv = self._bc_versions[node]
-            bd = self._bc_dirty[node]
-            if bb[idx] == block:
-                if bv[idx] >= version:
-                    bc_stats.hits += 1
-                    self.node_stats[node].block_cache_hits += 1
-                    if is_write:
-                        extra, version = self._directory_write(node, block)
-                        # inlined BlockCache.touch_write (the frame holds
-                        # block)
-                        if version > bv[idx]:
-                            bv[idx] = version
-                        bd[idx] = True
-                        return self._local_miss_cost + extra, version, False
-                    return self._local_miss_cost, version, False
-                # stale copy: drop it so the fill below refreshes it
-                bb[idx] = -1
-                bd[idx] = False
-                bc_stats.invalidations += 1
+        if bb[idx] == block:
+            if bv[idx] >= version:
+                bc_stats.hits += 1
+                self.node_stats[node].block_cache_hits += 1
+                if is_write:
+                    extra, version = self._directory_write(node, block)
+                    # inlined BlockCache.touch_write (the frame holds block)
+                    if version > bv[idx]:
+                        bv[idx] = version
+                    bd[idx] = True
+                    return self._local_miss_cost + extra, version, False
+                return self._local_miss_cost, version, False
+            # stale copy: drop it so the fill below refreshes it
+            bb[idx] = -1
+            bd[idx] = False
+            bc_stats.invalidations += 1
         bc_stats.misses += 1
 
         latency, version = self._remote_fill(node, block, is_write, now, home)
 
-        # inlined BlockCache.fill
-        if cap is None:
-            store[block] = (version, is_write)
-            return latency, version, True
+        # inlined BlockCache.fill (an infinite cache's frame is the block's
+        # own, so only a finite cache evicts)
         old = bb[idx]
         old_dirty = bd[idx]
         bb[idx] = block

@@ -127,8 +127,7 @@ class DSMProtocol:
         self._bc_blocks = [bc._blocks for bc in machine.block_caches]
         self._bc_versions = [bc._versions for bc in machine.block_caches]
         self._bc_dirty = [bc._dirty for bc in machine.block_caches]
-        self._bc_store = [bc._store for bc in machine.block_caches]
-        self._bc_caps = [bc.capacity_blocks for bc in machine.block_caches]
+        self._bc_caps = [bc.modulus for bc in machine.block_caches]
         self._bc_stats = [bc.stats for bc in machine.block_caches]
         self._bpp = machine.addr.blocks_per_page
         self._local_miss_cost = self.costs.local_miss
@@ -445,11 +444,9 @@ class DSMProtocol:
         here must be mirrored there.
         """
         # inlined BlockCache.contains
-        cap = self._bc_caps[node]
-        if cap is None:
-            if block in self._bc_store[node]:
-                return
-        elif self._bc_blocks[node][block % cap] == block:
+        idx = block % self._bc_caps[node]
+        bb = self._bc_blocks[node]
+        if idx < len(bb) and bb[idx] == block:
             return
         pc = self.page_caches[node]
         page = block // self._bpp

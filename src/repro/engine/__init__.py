@@ -16,9 +16,10 @@ defines *how* the reference stream is executed:
     The compiled residual kernel (:mod:`repro.engine.kernel`): the
     batched engine's residual walk transcribed to flat arrays and run by
     a numba- or C-compiled backend, bailing to Python only for page
-    operations and mapping faults.  Systems the kernel cannot express
-    (adaptive policies, user protocols, infinite caches) transparently
-    fall back to ``batched`` for the run, recording the reason in
+    operations, mapping faults and adaptive-policy evaluations.  Every
+    stock system runs on it; shapes it cannot express (user protocol
+    subclasses, exotic or heterogeneous caches) transparently fall back
+    to ``batched`` for the run, recording the reason in
     ``engine_profile``.  Results are bit-identical to both other
     engines.
 

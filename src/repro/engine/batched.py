@@ -186,12 +186,12 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
     vm_home = machine.vm._home
     vm_reserve = machine.vm.reserve
     pt_modes = [pt._modes for pt in machine.page_tables]
-    bc_caps = [bc.capacity_blocks for bc in machine.block_caches]
-    bc_blocks = [bc._blocks for bc in machine.block_caches]
-    bc_versions = [bc._versions for bc in machine.block_caches]
-    bc_dirty = [bc._dirty for bc in machine.block_caches]
-    bc_store = [bc._store for bc in machine.block_caches]
-    bc_stats_of = [bc.stats for bc in machine.block_caches]
+    block_caches = machine.block_caches
+    bc_caps = [bc.modulus for bc in block_caches]
+    bc_blocks = [bc._blocks for bc in block_caches]
+    bc_versions = [bc._versions for bc in block_caches]
+    bc_dirty = [bc._dirty for bc in block_caches]
+    bc_stats_of = [bc.stats for bc in block_caches]
     page_caches = machine.page_caches
     pc_res_of = [pc._resident if pc is not None else None for pc in page_caches]
 
@@ -289,11 +289,12 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
             compute = phase.compute_per_access
             fast_unit = compute + l1_hit_cost
 
-            # Pre-reserve the directory and page-table arrays to cover this
-            # phase's largest block/page id: within the loop, every stream-
-            # derived index is then in range and needs no growth check.
-            # (reserve() is a no-op when already large enough, and growth
-            # is in place, so the aliases above stay valid.)
+            # Pre-reserve the directory, page-table and (infinite) block-
+            # cache arrays to cover this phase's largest block/page id:
+            # within the loop, every stream-derived index is then in range
+            # and needs no growth check.  (reserve() is a no-op when
+            # already large enough, and growth is in place, so the aliases
+            # above stay valid.)
             max_block = -1
             for arr in blocks_np:
                 if len(arr):
@@ -302,6 +303,8 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                         max_block = m
             if max_block >= 0:
                 dir_reserve(max_block + 1)
+                for bc in block_caches:
+                    bc.reserve(max_block + 1)
                 max_page = max_block // addr_bpp
                 vm_reserve(max_page + 1)
                 for pt_obj in page_tables:
@@ -803,14 +806,8 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                                 cv[idx] = version
                                 cd[idx] = is_write
                                 if inline_evict:
-                                    cap = bc_caps[node]
-                                    if cap is None:
-                                        resident = old in bc_store[node]
-                                    else:
-                                        resident = (
-                                            bc_blocks[node][old % cap]
-                                            == old)
-                                    if not resident:
+                                    if (bc_blocks[node][old % bc_caps[node]]
+                                            != old):
                                         pcp = pc_res_of[node]
                                         vpage = old // addr_bpp
                                         if (pcp is None
@@ -844,30 +841,19 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                             # their docstrings for the semantics)
                             pageop = 0
                             version = dir_versions[block]
-                            cap = bc_caps[node]
                             bcs = bc_stats_of[node]
                             hit = False
-                            if cap is None:
-                                store = bc_store[node]
-                                ent = store.get(block)
-                                if ent is not None:
-                                    if ent[0] >= version:
-                                        hit = True
-                                    else:
-                                        del store[block]
-                                        bcs.invalidations += 1
-                            else:
-                                bidx = block % cap
-                                bb = bc_blocks[node]
-                                bv = bc_versions[node]
-                                bd = bc_dirty[node]
-                                if bb[bidx] == block:
-                                    if bv[bidx] >= version:
-                                        hit = True
-                                    else:
-                                        bb[bidx] = -1
-                                        bd[bidx] = False
-                                        bcs.invalidations += 1
+                            bidx = block % bc_caps[node]
+                            bb = bc_blocks[node]
+                            bv = bc_versions[node]
+                            bd = bc_dirty[node]
+                            if bb[bidx] == block:
+                                if bv[bidx] >= version:
+                                    hit = True
+                                else:
+                                    bb[bidx] = -1
+                                    bd[bidx] = False
+                                    bcs.invalidations += 1
                             if hit:
                                 bcs.hits += 1
                                 node_stats[node].block_cache_hits += 1
@@ -898,15 +884,9 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                                             others ^= low
                                             departed[low.bit_length() - 1][
                                                 block] = _DEPARTED_INVALIDATED
-                                    if cap is None:
-                                        stored = ent[0]
-                                        store[block] = (
-                                            version if version > stored
-                                            else stored, True)
-                                    else:
-                                        if version > bv[bidx]:
-                                            bv[bidx] = version
-                                        bd[bidx] = True
+                                    if version > bv[bidx]:
+                                        bv[bidx] = version
+                                    bd[bidx] = True
                                     service = local_miss_cost + extra
                                 else:
                                     service = local_miss_cost
@@ -1005,31 +985,28 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                                     extra = 0
                                 service = remote_miss_cost + contention + extra
                                 # inlined BlockCache.fill
-                                if cap is None:
-                                    store[block] = (version, is_write)
-                                else:
-                                    old = bb[bidx]
-                                    old_dirty = bd[bidx]
-                                    bb[bidx] = block
-                                    bv[bidx] = version
-                                    bd[bidx] = is_write
-                                    if old >= 0 and old != block:
-                                        bcs.evictions += 1
-                                        departed[node][old] = _DEPARTED_EVICTED
-                                        if (old < len(dir_sharers)
-                                                and dir_tracked[old]):
-                                            dir_sharers[old] &= ~(1 << node)
-                                            if dir_owner[old] == node:
-                                                dir_owner[old] = -1
-                                                directory.writebacks += 1
-                                        if old_dirty:
-                                            vpage = old // addr_bpp
-                                            vh = (vm_home[vpage]
-                                                  if vpage < len(vm_home)
-                                                  else -1)
-                                            if vh >= 0 and vh != node:
-                                                msg_counts[_WB_I] += 1
-                                                net_stats.bytes_total += sz_wb
+                                old = bb[bidx]
+                                old_dirty = bd[bidx]
+                                bb[bidx] = block
+                                bv[bidx] = version
+                                bd[bidx] = is_write
+                                if old >= 0 and old != block:
+                                    bcs.evictions += 1
+                                    departed[node][old] = _DEPARTED_EVICTED
+                                    if (old < len(dir_sharers)
+                                            and dir_tracked[old]):
+                                        dir_sharers[old] &= ~(1 << node)
+                                        if dir_owner[old] == node:
+                                            dir_owner[old] = -1
+                                            directory.writebacks += 1
+                                    if old_dirty:
+                                        vpage = old // addr_bpp
+                                        vh = (vm_home[vpage]
+                                              if vpage < len(vm_home)
+                                              else -1)
+                                        if vh >= 0 and vh != node:
+                                            msg_counts[_WB_I] += 1
+                                            net_stats.bytes_total += sz_wb
                         else:
                             service, pageop, version, remote = service_remote(
                                 node, p, page, block, is_write, start,
@@ -1058,12 +1035,7 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                         # a helper call costs ~10% of the miss path; its
                         # twin lives on the local-fill path above; keep
                         # both in sync with DSMProtocol.note_l1_eviction)
-                        cap = bc_caps[node]
-                        if cap is None:
-                            resident = old in bc_store[node]
-                        else:
-                            resident = bc_blocks[node][old % cap] == old
-                        if not resident:
+                        if bc_blocks[node][old % bc_caps[node]] != old:
                             pcp = pc_res_of[node]
                             vpage = old // addr_bpp
                             if (pcp is None or vpage >= len(pcp)

@@ -26,13 +26,15 @@ workloads; decision evaluations are orders of magnitude rarer than
 references), so the walk's speed dominates.
 
 Only systems whose whole residual walk the backend can express run on
-the kernel: the exact stock protocol family (``ccnuma``, ``migrep``,
-``rnuma``, ``scoma``, ``rnuma-migrep``, ``ccnuma-dram`` and their
-capacity variants) with finite homogeneous block caches and stock base
-machinery.  Adaptive decision policies ride the compiled walk via the
-``decide`` bail.  Everything else — user-registered subclasses, exotic
-caches, infinite block caches — transparently falls back to the batched
-engine for the whole run, recording *every* failing condition in
+the kernel: the exact stock protocol family (``ccnuma``, ``perfect``,
+``migrep``, ``rnuma``, ``scoma``, ``rnuma-migrep``, ``ccnuma-dram`` and
+their capacity variants) with homogeneous block caches and stock base
+machinery.  An infinite block cache rides the CC-NUMA lane: its frames
+are indexed by block id (``CON_BC_CAP`` exceeds every block id).
+Adaptive decision policies ride the compiled walk via the ``decide``
+bail.  Everything else — user-registered subclasses, exotic or
+heterogeneous caches — transparently falls back to the batched engine
+for the whole run, recording *every* failing condition in
 ``engine_profile["fallback_reason"]``.
 """
 
@@ -102,9 +104,10 @@ def kernel_eligibility(machine: "Machine", trace) -> Optional[str]:
     """Why ``machine`` cannot run on the kernel, or ``None`` if it can.
 
     The kernel's compiled lanes are transcriptions of the *stock*
-    protocol family, so any override — a subclass, exotic cache
-    geometry, an infinite block cache — disqualifies the whole run
-    (per-reference fallback would cost more than it saves).  *Every*
+    protocol family, so any override — a subclass, exotic or
+    heterogeneous cache geometry — disqualifies the whole run
+    (per-reference fallback would cost more than it saves).  Finite and
+    infinite block caches alike are eligible.  *Every*
     failing condition is collected and ``"; "``-joined into the
     user-facing fallback reason, so fixing one does not merely surface
     the next.
@@ -119,10 +122,7 @@ def kernel_eligibility(machine: "Machine", trace) -> Optional[str]:
         reasons.append("heterogeneous L1 geometry")
     if len(machine.nodes) > 62:
         reasons.append("more than 62 nodes (sharer masks exceed int64)")
-    caps = {bc.capacity_blocks for bc in machine.block_caches}
-    if None in caps:
-        reasons.append("infinite block cache")
-    elif len(caps) > 1:
+    if len({bc.modulus for bc in machine.block_caches}) > 1:
         reasons.append("heterogeneous block-cache capacity")
     if not (ptype.handle_miss is DSMProtocol.handle_miss
             and ptype._directory_read is DSMProtocol._directory_read

@@ -217,7 +217,9 @@ class KernelState:
         con[CON_MSG_WB] = bi
         con[CON_MSG_INV] = ii
         con[CON_MSG_ACK] = ai
-        con[CON_BC_CAP] = machine.block_caches[0].capacity_blocks
+        # an infinite cache's modulus exceeds every block id, so the
+        # direct-mapped lane indexes its frames by block id
+        con[CON_BC_CAP] = machine.block_caches[0].modulus
         con[CON_NUM_LINES] = caches[0].num_lines
         con[CON_MODE_REPLICA] = MODE_CODES[PageMode.REPLICA]
         con[CON_MODE_LOCAL_HOME] = MODE_CODES[PageMode.LOCAL_HOME]
@@ -327,6 +329,8 @@ class KernelState:
         bpp = int(self.con[CON_BPP])
         max_page = max_block // bpp
         machine.directory.reserve((max_page + 1) * bpp)
+        for bc in machine.block_caches:
+            bc.reserve((max_page + 1) * bpp)
         machine.vm.reserve(max_page + 1)
         for pt in machine.page_tables:
             pt.reserve(max_page + 1)

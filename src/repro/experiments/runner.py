@@ -464,8 +464,8 @@ class SharedTracePool:
 
 #: Per-worker cache of shared-memory traces: digest -> (trace, shm).
 #: The shm handle must stay referenced while the trace's arrays (views
-#: into the segment) are alive; eviction drops both together and lets
-#: reference counting tear the mapping down.
+#: into the segment) are alive; eviction drops the trace, then closes the
+#: handle.
 _WORKER_SHM: "Dict[str, Tuple[Trace, object]]" = {}
 _WORKER_SHM_LIMIT = 4
 
@@ -487,7 +487,12 @@ def _execute_shm_run(meta: Dict[str, object], digest: str, system_name: str,
         trace, shm = trace_from_shm(meta)
         attached = True
         while len(_WORKER_SHM) >= _WORKER_SHM_LIMIT:
-            _WORKER_SHM.pop(next(iter(_WORKER_SHM)))
+            # the views export the segment's buffer, so they must go
+            # first: the tuple's own teardown would close the handle
+            # first and SharedMemory's finaliser would print a BufferError
+            old_trace, old_shm = _WORKER_SHM.pop(next(iter(_WORKER_SHM)))
+            del old_trace
+            old_shm.close()
         entry = (trace, shm)
     _WORKER_SHM[digest] = entry   # re-insert = move to MRU position
     return _execute_run(entry[0], system_name, cfg, engine), attached

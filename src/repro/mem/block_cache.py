@@ -14,22 +14,33 @@ baseline (an infinite block cache never suffers capacity/conflict misses).
 
 Storage layout
 --------------
-The finite cache stores its frames as flat parallel buffer-backed arrays
-indexed by frame number — ``_blocks`` (cached block id, -1 when empty) and
-``_versions`` as ``array('q')``, ``_dirty`` as a ``bytearray`` — exactly
-the layout the protocol layer's and the batched engine's inlined
-lookup/fill paths index directly, and one the compiled residual kernel
-can view as contiguous numpy arrays without copying.  The infinite cache
-is necessarily a mapping; it keeps a plain ``block -> (version, dirty)``
-dict (``_store``).  Exactly one of ``_blocks`` / ``_store`` is non-None.
+Both kinds of cache store their frames as flat parallel buffer-backed
+arrays — ``_blocks`` (cached block id, -1 when empty) and ``_versions``
+as ``array('q')``, ``_dirty`` as a ``bytearray`` — indexed by frame
+number ``block % modulus``: the layout the protocol layer's and the
+batched engine's inlined lookup/fill paths index directly, and one the
+compiled residual kernel views as contiguous numpy arrays without
+copying.  A finite cache is direct-mapped: ``modulus`` is its capacity.
+An infinite cache has ``modulus`` = :data:`INFINITE_FRAMES`, above every
+block id, so a block's frame is the block id itself and a fill never
+evicts.  Its frames start empty and grow in place through
+:meth:`BlockCache.reserve` — per phase by the engines (whole pages in
+the kernel, whose views export-lock the buffers), on demand by
+:meth:`fill` and by the protocol's inlined lookup/fill
+(``CCNUMAProtocol._block_cache_fetch``); other lookups past the end are
+misses.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.mem.cache import CacheStats
+
+#: Frame-index modulus of an infinite cache: larger than any block id, so
+#: ``block % INFINITE_FRAMES == block`` (and it fits the kernel's int64).
+INFINITE_FRAMES = 1 << 62
 
 
 class BlockCache:
@@ -42,25 +53,33 @@ class BlockCache:
         (perfect CC-NUMA).
     """
 
-    __slots__ = ("capacity_blocks", "_infinite", "_blocks", "_versions",
-                 "_dirty", "_store", "stats")
+    __slots__ = ("capacity_blocks", "modulus", "_blocks", "_versions",
+                 "_dirty", "stats")
 
     def __init__(self, capacity_blocks: Optional[int]) -> None:
         if capacity_blocks is not None and capacity_blocks <= 0:
             raise ValueError("capacity_blocks must be positive or None")
         self.capacity_blocks = capacity_blocks
-        self._infinite = capacity_blocks is None
-        if self._infinite:
-            self._blocks: Optional[array] = None
-            self._versions: Optional[array] = None
-            self._dirty: Optional[bytearray] = None
-            self._store: Optional[Dict[int, Tuple[int, bool]]] = {}
-        else:
-            self._blocks = array("q", b"\xff" * (8 * capacity_blocks))
-            self._versions = array("q", bytes(8 * capacity_blocks))
-            self._dirty = bytearray(capacity_blocks)
-            self._store = None
+        #: frame index of ``block`` is ``block % modulus``
+        self.modulus = capacity_blocks or INFINITE_FRAMES
+        frames = capacity_blocks or 0
+        self._blocks = array("q", b"\xff" * (8 * frames))
+        self._versions = array("q", bytes(8 * frames))
+        self._dirty = bytearray(frames)
         self.stats = CacheStats()
+
+    def reserve(self, n_blocks: int) -> None:
+        """Grow an infinite cache's frames (in place) to cover ids ``< n_blocks``.
+
+        A no-op for a finite cache.  Growth must happen before the kernel
+        takes ``np.frombuffer`` views: while a view is exported the
+        buffers are locked against resizing.
+        """
+        grow = n_blocks - len(self._blocks)
+        if grow > 0 and self.capacity_blocks is None:
+            self._blocks.frombytes(b"\xff" * (8 * grow))
+            self._versions.frombytes(bytes(8 * grow))
+            self._dirty += bytes(grow)
 
     # -- core operations --------------------------------------------------------
 
@@ -71,23 +90,13 @@ class BlockCache:
         are invalidated and reported as misses, mirroring the lazy
         invalidation scheme of the processor caches.
         """
-        if self._infinite:
-            entry = self._store.get(block)
-            if entry is not None:
-                if entry[0] >= version:
-                    self.stats.hits += 1
-                    return True
-                del self._store[block]
-                self.stats.invalidations += 1
-            self.stats.misses += 1
-            return False
-
-        idx = block % self.capacity_blocks
-        if self._blocks[idx] == block:
+        idx = block % self.modulus
+        blocks = self._blocks
+        if idx < len(blocks) and blocks[idx] == block:
             if self._versions[idx] >= version:
                 self.stats.hits += 1
                 return True
-            self._blocks[idx] = -1
+            blocks[idx] = -1
             self._dirty[idx] = False
             self.stats.invalidations += 1
         self.stats.misses += 1
@@ -95,10 +104,9 @@ class BlockCache:
 
     def fill(self, block: int, version: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Install ``block``; return the evicted ``(block, dirty)`` if any."""
-        if self._infinite:
-            self._store[block] = (version, dirty)
-            return None
-        idx = block % self.capacity_blocks
+        idx = block % self.modulus
+        if idx >= len(self._blocks):
+            self.reserve(idx + 1)
         victim: Optional[Tuple[int, bool]] = None
         old = self._blocks[idx]
         if old >= 0 and old != block:
@@ -111,28 +119,18 @@ class BlockCache:
 
     def touch_write(self, block: int, version: int) -> None:
         """Record a write to a resident block (marks it dirty)."""
-        if self._infinite:
-            entry = self._store.get(block)
-            if entry is not None:
-                self._store[block] = (max(entry[0], version), True)
-            return
-        idx = block % self.capacity_blocks
-        if self._blocks[idx] == block:
+        idx = block % self.modulus
+        if idx < len(self._blocks) and self._blocks[idx] == block:
             if version > self._versions[idx]:
                 self._versions[idx] = version
             self._dirty[idx] = True
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if present; return True if it was present."""
-        if self._infinite:
-            if block in self._store:
-                del self._store[block]
-                self.stats.invalidations += 1
-                return True
-            return False
-        idx = block % self.capacity_blocks
-        if self._blocks[idx] == block:
-            self._blocks[idx] = -1
+        idx = block % self.modulus
+        blocks = self._blocks
+        if idx < len(blocks) and blocks[idx] == block:
+            blocks[idx] = -1
             self._dirty[idx] = False
             self.stats.invalidations += 1
             return True
@@ -150,44 +148,31 @@ class BlockCache:
 
     def contains(self, block: int) -> bool:
         """True if ``block`` is resident (any version)."""
-        if self._infinite:
-            return block in self._store
-        return self._blocks[block % self.capacity_blocks] == block
+        idx = block % self.modulus
+        return idx < len(self._blocks) and self._blocks[idx] == block
 
     def is_dirty(self, block: int) -> bool:
         """True if ``block`` is resident and dirty."""
-        if self._infinite:
-            entry = self._store.get(block)
-            return entry is not None and entry[1]
-        idx = block % self.capacity_blocks
-        return self._blocks[idx] == block and bool(self._dirty[idx])
+        return self.contains(block) and bool(self._dirty[block % self.modulus])
 
     def resident_blocks(self) -> Iterator[int]:
         """Iterate over resident block ids."""
-        if self._infinite:
-            yield from self._store.keys()
-        else:
-            for block in self._blocks:
-                if block >= 0:
-                    yield block
+        for block in self._blocks:
+            if block >= 0:
+                yield block
 
     def occupancy(self) -> int:
         """Number of resident blocks."""
-        if self._infinite:
-            return len(self._store)
         return sum(1 for block in self._blocks if block >= 0)
 
     @property
     def is_infinite(self) -> bool:
         """True for the perfect-CC-NUMA infinite cache."""
-        return self._infinite
+        return self.capacity_blocks is None
 
     def clear(self) -> None:
         """Drop all blocks (statistics preserved)."""
-        if self._infinite:
-            self._store.clear()
-            return
-        for i in range(self.capacity_blocks):
+        for i in range(len(self._blocks)):
             self._blocks[i] = -1
             self._versions[i] = 0
             self._dirty[i] = False

@@ -20,6 +20,7 @@ from repro.cluster.machine import Machine
 from repro.config import CostModel, SimulationConfig
 from repro.core.factory import SYSTEM_NAMES, build_system
 from repro.engine import ENGINE_NAMES, default_engine, resolve_engine
+from repro.mem.block_cache import BlockCache
 from repro.workloads.spec import SharingPattern
 from repro.workloads.trace import PhaseTrace, Trace
 
@@ -426,16 +427,21 @@ class TestKernelEngine:
         assert prof["requested_engine"] == "kernel"
         assert "turbo" in prof["fallback_reason"]
 
-    def test_infinite_block_cache_falls_back(self, small_config,
-                                             small_machine, monkeypatch):
+    def test_infinite_block_cache_runs_on_kernel(self, small_config,
+                                                 small_machine, monkeypatch):
+        """perfect's infinite block cache rides the CC-NUMA lane (its
+        frames are indexed by block id), bit-identical to batched."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
         trace = self._trace(small_machine)
+        ref_machine = Machine(small_config, build_system("perfect"))
+        ref = fingerprint(ref_machine,
+                          ref_machine.run(trace, engine="batched"))
         machine = Machine(small_config, build_system("perfect"))
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
-        assert prof["engine"] == "batched"
-        assert prof["requested_engine"] == "kernel"
-        assert "infinite block cache" in prof["fallback_reason"]
+        assert prof["engine"] == "kernel"
+        assert "fallback_reason" not in prof
+        assert fingerprint(machine, stats) == ref
 
     def test_page_cache_system_runs_on_kernel(self, small_config,
                                               small_machine, monkeypatch):
@@ -480,10 +486,11 @@ class TestKernelEngine:
             def handle_miss(self, *args):  # pragma: no cover - never run
                 return super().handle_miss(*args)
 
-        machine = Machine(small_config, build_system("perfect"))
+        machine = Machine(small_config, build_system("ccnuma"))
         machine.protocol.__class__ = TweakedCCNUMA
+        machine.block_caches[1] = BlockCache(7)
         reason = kernel_eligibility(machine, trace)
-        assert "infinite block cache" in reason
+        assert "heterogeneous block-cache capacity" in reason
         assert "overrides base machinery" in reason
         assert "unsupported protocol TweakedCCNUMA" in reason
         assert reason.count(";") >= 2

@@ -1,12 +1,13 @@
 """Kernel lane equivalence: R-NUMA, page-cache probe and decision bails.
 
-The full-family kernel runs every stock system compiled.  These tests
-pin each new lane against the batched engine bit-for-bit, per backend,
-under configurations harsh enough to actually fire the lane: tiny block
-caches so capacity refetches drive relocation storms, tiny page caches
-so S-COMA replaces pages constantly, and low thresholds so both static
-and adaptive decisions trigger.  Hypothesis then hunts for orderings
-the hand-written traces miss.
+The full-family kernel runs every stock system compiled, ``perfect``'s
+infinite block cache included.  These tests pin each lane against the
+batched engine bit-for-bit, per backend, under configurations harsh
+enough to actually fire the lane: tiny block caches so capacity
+refetches drive relocation storms, tiny page caches so S-COMA replaces
+pages constantly, low thresholds so both static and adaptive decisions
+trigger, and page operations flushing an infinite block cache.
+Hypothesis then hunts for orderings the hand-written traces miss.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _spec_for(name: str):
     if name in POLICY_VARIANTS:
         base, kwargs = POLICY_VARIANTS[name]
         return build_system(base).derive(name, **kwargs)
+    if name == "migrep-infbc":
+        # a page-op protocol over perfect's infinite block cache
+        return build_system("migrep").derive(name, infinite_block_cache=True)
     return build_system(name)
 
 
@@ -101,12 +105,10 @@ def _assert_kernel_matches_batched(cfg, spec, trace, backend, monkeypatch,
 
 
 class TestFullFamilyEquivalence:
-    """Every finite-cache stock system runs compiled, bit-identical."""
-
-    ELIGIBLE = [n for n in SYSTEM_NAMES if n != "perfect"]
+    """Every stock system runs compiled, bit-identical."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("system", ELIGIBLE)
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_stock_system_bit_identical(self, backend, system, monkeypatch):
         _require_backend(backend)
         cfg = _harsh_config()
@@ -177,11 +179,36 @@ class TestLaneActivation:
             monkeypatch, expect_bails=("relocate", "migrate"))
 
 
+class TestInfiniteBlockCache:
+    """Infinite block caches ride the CC-NUMA lane on block-id frames."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_page_op_protocol_over_infinite_frames(self, backend,
+                                                   monkeypatch):
+        """MigRep over an infinite block cache: migrations and
+        replications flush whole pages out of the dense frames, and
+        legacy, batched and kernel agree on every statistic."""
+        _require_backend(backend)
+        cfg = _harsh_config()
+        spec = _spec_for("migrep-infbc")
+        trace = _harsh_trace(cfg)
+        legacy = Machine(cfg, spec)
+        assert all(bc.is_infinite for bc in legacy.block_caches)
+        ref = fingerprint(legacy, legacy.run(trace, engine="legacy"))
+        batched = Machine(cfg, spec)
+        assert fingerprint(batched, batched.run(trace,
+                                                engine="batched")) == ref
+        _assert_kernel_matches_batched(
+            cfg, spec, trace, backend, monkeypatch,
+            expect_bails=("replicate", "migrate"))
+
+
 class TestRandomLaneTraces:
     """Hypothesis hunts for bail orderings the fixed traces miss."""
 
     SYSTEMS = ["rnuma", "rnuma-migrep", "scoma", "ccnuma-dram",
-               "rnuma-hysteresis", "hybrid-mixed"]
+               "rnuma-hysteresis", "hybrid-mixed", "perfect",
+               "migrep-infbc"]
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
