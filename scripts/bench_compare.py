@@ -32,10 +32,9 @@ Gates enforced by ``--check`` (record schema 5):
    ``hysteresis`` (migrep under the adaptive hysteresis policy, its
    evaluation inlined in the compiled walk) — must each hold
    ``>= 4x``.  None may
-   regress below the committed ``current`` band.  When no compiled
-   backend exists on the host (no numba, no C toolchain) the lanes
-   record their ``fallback_reason`` and the gates are skipped — the
-   pure-Python install stays green.
+   regress below the committed ``current`` band.  When the host has
+   no C toolchain the lanes record their ``fallback_reason`` and the
+   gates are skipped — the pure-Python install stays green.
 4. The warm shared-memory ``jobs=2`` sweep must not be slower than the
    cold per-worker npz path beyond the tolerance band.
 5. The hot-set batched-vs-legacy speedup must stay within the band of

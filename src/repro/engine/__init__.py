@@ -14,12 +14,13 @@ defines *how* the reference stream is executed:
     bit-identical to the interpreter; the default engine.
 ``kernel``
     The compiled residual kernel (:mod:`repro.engine.kernel`): the
-    batched engine's residual walk transcribed to flat arrays and run by
-    a numba- or C-compiled backend, bailing to Python only for page
-    operations, mapping faults and adaptive-policy evaluations.  Every
-    stock system runs on it; shapes it cannot express (user protocol
-    subclasses, exotic or heterogeneous caches) transparently fall back
-    to ``batched`` for the run, recording the reason in
+    batched engine's residual walk transcribed to flat arrays in C
+    (``cwalk.c``, built on demand with the system compiler), bailing to
+    Python only for page operations, mapping faults and adaptive-policy
+    evaluations.  Every stock system runs on it; shapes it cannot
+    express (user protocol subclasses, exotic or heterogeneous caches),
+    and every run on a host with no working C compiler, transparently
+    fall back to ``batched`` for the run, recording the reason in
     ``engine_profile``.  Results are bit-identical to both other
     engines.
 

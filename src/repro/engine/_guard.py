@@ -13,11 +13,10 @@ user code) touching the same caches.
 an exception anywhere in an engine's phase loop cannot leak either
 effect.
 
-:func:`backend_crash_guard` wraps the kernel engine's calls into its
-compiled backends (numba dispatch, the C extension, the interp
-reference): an exception escaping compiled code — a marshalling bug, a
-numba typing failure at dispatch time, a broken C build — is re-raised
-as :class:`KernelBackendError`, which :func:`repro.engine.kernel.run_kernel`
+:func:`backend_crash_guard` wraps the kernel engine's calls into its C
+walk (the per-phase bind and every re-entry): an exception escaping
+there — a marshalling bug, a broken C build — is re-raised as
+:class:`KernelBackendError`, which :func:`repro.engine.kernel.run_kernel`
 catches to re-run the trace on the batched engine from a pristine
 machine (the crashed walk may have half-mutated the array stores), with
 the crash surfaced as the run's ``fallback_reason``.
@@ -31,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 
 class KernelBackendError(RuntimeError):
-    """A compiled kernel backend crashed mid-run.
+    """The kernel's compiled walk crashed mid-run.
 
     Carries the backend name and the original exception (as
     ``__cause__``); the message is the user-facing fallback reason.
@@ -47,7 +46,7 @@ class KernelBackendError(RuntimeError):
 
 @contextmanager
 def backend_crash_guard(backend: str) -> Iterator[None]:
-    """Translate exceptions escaping a compiled backend call.
+    """Translate exceptions escaping a call into the compiled walk.
 
     Anything raised inside the block (except an already-translated
     :class:`KernelBackendError`) is chained into a

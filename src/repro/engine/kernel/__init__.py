@@ -5,12 +5,11 @@ index-addressed array stores instead of Python objects: per phase it
 classifies with ``build_promotion=False`` (promotion is a pure
 optimisation — results are bit-identical either way), marshals the
 simulator's stores into zero-copy numpy views
-(:mod:`repro.engine.kernel.state`) and hands the walk to a compiled
-backend — numba (:mod:`repro.engine.kernel.walk`) or hand-rolled C
-(``cwalk.c`` via :mod:`repro.engine.kernel.cbuild`) — with the same
-walk, uncompiled, as the dependency-free ``interp`` reference backend.
+(:mod:`repro.engine.kernel.state`) and hands the walk to its one
+compiled implementation, ``cwalk.c``, built on demand by
+:mod:`repro.engine.kernel.cbuild` with the system C compiler.
 
-The backend runs the probe/upgrade/local-fill/block-cache lanes — plus
+The walk runs the probe/upgrade/local-fill/block-cache lanes — plus
 the page-cache probe lane for S-COMA-family systems, the home-side
 MigRep counter bumps with the static-threshold decision tests, and the
 requester-side R-NUMA refetch counters with the static relocation test —
@@ -25,7 +24,7 @@ Bails are rare (hundreds per million references on the paper's
 workloads; decision evaluations are orders of magnitude rarer than
 references), so the walk's speed dominates.
 
-Only systems whose whole residual walk the backend can express run on
+Only systems whose whole residual walk the kernel can express run on
 the kernel: the exact stock protocol family (``ccnuma``, ``perfect``,
 ``migrep``, ``rnuma``, ``scoma``, ``rnuma-migrep``, ``ccnuma-dram`` and
 their capacity variants) with homogeneous block caches and stock base
@@ -35,7 +34,8 @@ Adaptive decision policies ride the compiled walk via the ``decide``
 bail.  Everything else — user-registered subclasses, exotic or
 heterogeneous caches — transparently falls back to the batched engine
 for the whole run, recording *every* failing condition in
-``engine_profile["fallback_reason"]``.
+``engine_profile["fallback_reason"]``.  So does every run on a host
+where the C walk cannot be built.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from repro.engine.kernel.state import (
     RC_BAIL_PAGECACHE, RC_BAIL_RELOCATE, RC_BAIL_REPLICATE,
     RC_DONE, schedule_arrays,
 )
-from repro.engine.kernel.walk import get_njit_walk, kernel_walk
 from repro.mem.page_table import MODES_BY_CODE
 from repro.stats.counters import MachineStats
 from repro.stats.timing import StallKind
@@ -79,10 +78,10 @@ from repro.stats.timing import StallKind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
 
-#: Environment variable forcing a kernel backend: ``numba``, ``c``,
-#: ``interp`` (the uncompiled reference walk), or ``none`` (disable the
-#: kernel — every run falls back to the batched engine).  Unset/empty
-#: picks the fastest available compiled backend.
+#: Environment variable selecting the kernel backend: unset (or
+#: ``auto``) and ``c`` run the C walk; ``none`` disables the kernel, so
+#: every run falls back to the batched engine.  Any other value falls
+#: back with an "unknown" reason.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 _BAIL_NAMES = {RC_BAIL_FAULT: "fault", RC_BAIL_COLLAPSE: "collapse",
@@ -94,7 +93,7 @@ _BAIL_NAMES = {RC_BAIL_FAULT: "fault", RC_BAIL_COLLAPSE: "collapse",
 BAIL_KIND_NAMES = ("fault", "collapse", "replicate", "migrate",
                    "relocate", "decide", "pagecache")
 
-#: exact protocol types whose residual walk the backends transcribe
+#: exact protocol types whose residual walk the C walk transcribes
 _KERNEL_PROTOCOLS = (CCNUMAProtocol, MigRepProtocol, RNUMAProtocol,
                      SCOMAProtocol, RNUMAMigRepProtocol,
                      DRAMBlockCacheProtocol)
@@ -146,63 +145,27 @@ def kernel_eligibility(machine: "Machine", trace) -> Optional[str]:
 
 
 def _resolve_backend(forced: str):
-    """Resolve ``(bind, name)`` for the requested/fastest backend.
+    """Resolve ``(bind, name)`` for the requested backend.
 
-    ``bind(args) -> runner`` takes the canonical ``kernel_walk``
-    argument tuple once per phase and returns a zero-argument
-    ``runner() -> rc`` that (re-)enters the walk — binding once lets the
-    compiled backends cache their per-phase argument marshalling.
-    Returns ``(None, reason)`` when nothing is available.
+    ``bind(args) -> runner`` takes the walk's argument tuple once per
+    phase and returns a zero-argument ``runner() -> rc`` that (re-)enters
+    the walk — binding once lets the C binding cache its per-phase
+    argument marshalling.  Returns ``(None, reason)`` when the request
+    is unknown or the C walk cannot be built.
     """
-    if forced in ("", "auto"):
-        njit = get_njit_walk()
-        if njit is not None:  # pragma: no cover - needs numba installed
-            return _numba_caller(njit), "numba"
-        from repro.engine.kernel.cbuild import load_cwalk
-        c = load_cwalk()
-        if c is not None:
-            return c, "c"
-        return None, "no compiled backend available (numba missing, C build failed)"
-    if forced == "numba":
-        njit = get_njit_walk()
-        if njit is None:
-            return None, "numba not installed"
-        return _numba_caller(njit), "numba"  # pragma: no cover - needs numba
-    if forced == "c":
-        from repro.engine.kernel.cbuild import load_cwalk
-        c = load_cwalk()
-        if c is None:
-            return None, "C backend build failed (no working compiler?)"
-        return c, "c"
-    if forced == "interp":
-        return (lambda args: (lambda: kernel_walk(*args))), "interp"
-    return None, f"unknown {BACKEND_ENV_VAR}={forced!r}"
-
-
-def _numba_caller(njit_walk):  # pragma: no cover - needs numba installed
-    from numba.typed import List as TypedList
-
-    def bind(args):
-        # All list arguments except the demoted queues hold the same
-        # array objects for the whole phase — convert them once; the
-        # queue lists get fresh arrays after demotions, so re-wrap those
-        # per entry (they are tiny: one array per processor).
-        head = [TypedList(a) if isinstance(a, list) else a
-                for a in args[:-2]]
-        q_idx, q_blk = args[-2], args[-1]
-
-        def runner() -> int:
-            return int(njit_walk(*head, TypedList(q_idx), TypedList(q_blk)))
-
-        return runner
-
-    return bind
+    if forced not in ("", "auto", "c"):
+        return None, f"unknown {BACKEND_ENV_VAR}={forced!r}"
+    from repro.engine.kernel.cbuild import load_cwalk
+    bind = load_cwalk()
+    if bind is None:
+        return None, "C backend build failed (no working compiler?)"
+    return bind, "c"
 
 
 def run_kernel(machine: "Machine", trace) -> MachineStats:
     """Run ``trace`` on ``machine`` with the compiled residual kernel.
 
-    Ineligible systems and missing backends fall back to the batched
+    Ineligible systems and an unbuildable C walk fall back to the batched
     engine for the whole run; the resulting ``engine_profile`` carries
     ``requested_engine="kernel"`` and the ``fallback_reason``.
     """
@@ -315,8 +278,7 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                                         phase=phase)
             n_sched = len(sched.entries)
             slot_of = sched.slot_of
-            (ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot,
-             keys) = schedule_arrays(phase, sched, tuple(lines_of))
+            schedule = schedule_arrays(phase, sched, tuple(lines_of))
             prof_total += sum(lengths)
 
             st.marshal_phase(sched, n_sched)
@@ -328,24 +290,8 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                 pp[PP_CLOCK * P + p] = timing_procs[p].clock
             st.load_absolutes()
 
-            args = (st.con, st.fcon, st.mut, pp, st.nn, st.msg_delta, out,
-                    st.dir_sharers, st.dir_owner, st.dir_versions,
-                    st.dir_tracked,
-                    st.vm_home, st.vm_replicated, st.vm_replica_mask,
-                    st.ctr_read, st.ctr_write, st.ctr_since,
-                    st.ctr_live_r, st.ctr_live_w,
-                    st.hy_scores, st.hy_seen,
-                    st.departed, st.pt_modes, st.pt_tracked, st.pt_faults,
-                    st.bc_blocks, st.bc_versions, st.bc_dirty,
-                    st.cb, st.cv, st.cd, st.status,
-                    ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot,
-                    keys,
-                    st.rf_counts, st.pg_totals, st.pc_res, st.pc_version,
-                    st.pc_dirty, st.pc_stamp, st.pc_clock, st.pc_nvalid,
-                    st.pc_ndirty, st.pc_fills,
-                    st.place_log, st.q_idx, st.q_blk)
             with backend_crash_guard(backend_name):
-                runner = bind(args)
+                st.bind_walk(bind, schedule)
 
             def demote_pending(i: int, p: int) -> None:
                 """Demote pending fast refs after a page-op L1 shootdown.
@@ -409,7 +355,7 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
 
             while True:
                 with backend_crash_guard(backend_name):
-                    rc = runner()
+                    rc = st.runner()
                 if rc == RC_DONE:
                     break
                 bails += 1

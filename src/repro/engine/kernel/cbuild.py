@@ -2,16 +2,18 @@
 
 ``cwalk.c`` needs no Python headers — it is a single translation unit of
 plain C99 operating on raw array pointers — so any C compiler can build
-it: ``cc -O2 -shared -fPIC`` and nothing else.  The shared object is
-cached next to the package (or under ``$REPRO_KERNEL_CACHE`` / the
-system temp dir when the package directory is read-only) keyed by a hash
-of the source, so each source revision compiles at most once per
-machine.
+it: ``cc -O2 -shared -fPIC`` and nothing else.  The translation unit is
+generated: the layout constants of :mod:`repro.engine.kernel.state`
+(:data:`~repro.engine.kernel.state.LAYOUT`) as ``#define`` s, then
+``cwalk.c``.  The shared object is cached next to the package (or under
+``$REPRO_KERNEL_CACHE`` / the system temp dir when the package directory
+is read-only) keyed by a hash of that whole generated source, so each
+revision of the walk or of its layout compiles at most once per machine.
 
 Everything degrades gracefully: no compiler, a failed compile or a
 failed ``dlopen`` all yield ``None`` from :func:`load_cwalk` and the
-engine falls back to another backend.  Set ``REPRO_KERNEL_CC`` (or the
-conventional ``CC``) to pick a specific compiler.
+engine falls back to the batched engine.  Set ``REPRO_KERNEL_CC`` (or
+the conventional ``CC``) to pick a specific compiler.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+
+from repro.engine.kernel.state import LAYOUT
 
 _SOURCE = Path(__file__).with_name("cwalk.c")
 _N_ARGS = 52
@@ -66,9 +70,17 @@ def _compiler() -> Optional[str]:
     return None
 
 
+def _source() -> bytes:
+    """The generated translation unit: layout ``#define`` s + ``cwalk.c``."""
+    defines = "".join(f"#define {name} {value}\n"
+                      for name, value in LAYOUT.items())
+    # diagnostics keep pointing at cwalk.c's own line numbers
+    return (defines + '#line 1 "cwalk.c"\n').encode() + _SOURCE.read_bytes()
+
+
 def _build() -> Optional[ctypes.CDLL]:
     try:
-        source = _SOURCE.read_bytes()
+        source = _source()
     except OSError:
         return None
     digest = hashlib.sha256(source).hexdigest()[:16]
@@ -82,8 +94,10 @@ def _build() -> Optional[ctypes.CDLL]:
         if cc is None:
             return None
         tmp = so_path.with_name(f".{so_path.name}.{os.getpid()}.tmp")
-        cmd = [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(_SOURCE)]
+        src = tmp.with_suffix(".c")
+        cmd = [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(src)]
         try:
+            src.write_bytes(source)
             proc = subprocess.run(cmd, capture_output=True, timeout=120)
             if proc.returncode != 0:
                 return None
@@ -91,9 +105,9 @@ def _build() -> Optional[ctypes.CDLL]:
         except (OSError, subprocess.SubprocessError):
             return None
         finally:
-            if tmp.exists():
+            for leftover in (tmp, src):
                 try:
-                    tmp.unlink()
+                    leftover.unlink(missing_ok=True)
                 except OSError:
                     pass
     try:
@@ -105,9 +119,10 @@ def _build() -> Optional[ctypes.CDLL]:
 def load_cwalk() -> Optional[Callable]:
     """The C walk as ``bind(args) -> runner``, or ``None`` if unbuildable.
 
-    ``args`` is the canonical argument tuple of
-    :func:`repro.engine.kernel.walk.kernel_walk`.  ``bind`` flattens the
-    list-of-array arguments into pointer tables once per phase;
+    ``args`` holds the arrays of ``repro_kernel_walk``'s parameter list,
+    in order (built by
+    :meth:`~repro.engine.kernel.state.KernelState.bind_walk`).  ``bind``
+    flattens the list-of-array arguments into pointer tables once per phase;
     ``runner() -> rc`` re-enters the walk.  Only the demoted-queue
     arrays (the last two arguments) can be replaced between re-entries,
     so the runner refreshes exactly those table slots whose array object

@@ -1,156 +1,28 @@
-/* C backend of the compiled residual kernel.
+/* The compiled residual kernel's walk.
  *
- * Line-for-line transcription of kernel_walk() in walk.py — edit both
- * together.  Layout constants mirror repro/engine/kernel/state.py.
+ * The residual walk of repro/engine/batched.py with the dynamic-promotion
+ * lane removed (the kernel always runs promotion-off schedules; results
+ * are bit-identical either way) and every Python object access replaced
+ * by flat-array access on the views built by repro/engine/kernel/state.py.
  *
- * Built on demand by cbuild.py (plain `gcc -O2 -shared -fPIC`, no
- * Python headers needed) and called through ctypes; every argument is a
- * raw array base pointer obtained from the numpy views, so the walk
- * mutates the simulator's stores in place exactly like the Python
- * backends.
+ * The walk returns RC_DONE when the phase's schedule and demoted queues
+ * are drained, or bails with an RC_BAIL_* code, filling the `out` record,
+ * whenever an access needs protocol machinery that only exists in Python:
+ * a mapping fault, a write to a replicated page, a fired migration,
+ * replication or relocation decision, an S-COMA first-touch allocation,
+ * or an adaptive-policy evaluation point.  All bookkeeping lives in the
+ * caller-owned arrays, so the caller services the bail with ordinary
+ * protocol calls and re-enters; the walk resumes where it left off.
+ *
+ * The layout constants (CON_*, FCON_*, PP_*, NN_*, MUT_*, OUT_*, RC_*)
+ * are not defined here: cbuild.py generates them from state.py and
+ * prepends them at build time.  It builds on demand (plain
+ * `cc -O2 -shared -fPIC`, no Python headers needed) and calls through
+ * ctypes; every argument is a raw array base pointer obtained from the
+ * numpy views, so the walk mutates the simulator's stores in place.
  */
 
 #include <stdint.h>
-
-/* CON indices */
-#define CON_NUM_PROCS 0
-#define CON_NUM_NODES 1
-#define CON_BPP 2
-#define CON_COMPUTE 3
-#define CON_L1_HIT 4
-#define CON_FAST_UNIT 5
-#define CON_BUS_OCC 6
-#define CON_BUS_ENABLED 7
-#define CON_LOCAL_MISS 8
-#define CON_REMOTE_MISS 9
-#define CON_INVAL_COST 10
-#define CON_NET_ENABLED 11
-#define CON_NET_LATENCY 12
-#define CON_NIC_OCC 13
-#define CON_SZ_READ_PAIR 14
-#define CON_SZ_WRITE_PAIR 15
-#define CON_SZ_WB 16
-#define CON_SZ_INV_PAIR 17
-#define CON_MSG_READ 18
-#define CON_MSG_WRITE 19
-#define CON_MSG_DATA 20
-#define CON_MSG_WB 21
-#define CON_MSG_INV 22
-#define CON_MSG_ACK 23
-#define CON_HAS_MIGREP 24
-#define CON_MR_THRESHOLD 25
-#define CON_MR_MIG 26
-#define CON_MR_REP 27
-#define CON_MR_RESET 28
-#define CON_DIR_CAP 29
-#define CON_VM_LEN 30
-#define CON_N_SCHED 31
-#define CON_BC_CAP 32
-#define CON_NUM_LINES 33
-#define CON_MODE_REPLICA 34
-#define CON_MODE_LOCAL_HOME 35
-#define CON_DEP_EVICTED 36
-#define CON_DEP_INVALIDATED 37
-#define CON_SOFT_TRAP 38
-#define CON_MSG_MAP_REQ 39
-#define CON_MSG_MAP_REPLY 40
-#define CON_SZ_MAP_PAIR 41
-#define CON_MODE_CCNUMA_REMOTE 42
-#define CON_FIRST_TOUCH 43
-#define CON_HAS_RNUMA 44
-#define CON_RN_STATIC 45
-#define CON_RN_THRESHOLD 46
-#define CON_RN_DELAY 47
-#define CON_HAS_PAGECACHE 48
-#define CON_SCOMA_ALLOC 49
-#define CON_HYBRID 50
-#define CON_MR_STATIC 51
-#define CON_BC_PENALTY 52
-#define CON_MR_HYST 53
-
-/* FCON — float64 run constants (see state.py) */
-#define FCON_HY_THRESHOLD 0
-#define FCON_HY_DECAY 1
-
-/* PP rows */
-#define PP_PTR 0
-#define PP_FAST 1
-#define PP_HITS 2
-#define PP_UPG 3
-#define PP_MISS 4
-#define PP_INVAL 5
-#define PP_EVICT 6
-#define PP_ACC_LOCAL 7
-#define PP_ACC_REMOTE 8
-#define PP_ACC_UPGRADE 9
-#define PP_ACC_PAGEOP 10
-#define PP_ACC_FAULT 11
-#define PP_ACC_CONT 12
-#define PP_CLOCK 13
-#define PP_NODE 14
-#define PP_QCUR 15
-#define PP_QLEN 16
-
-/* NN rows */
-#define NN_BUS_FREE 0
-#define NN_BUS_TXN 1
-#define NN_BUS_WAIT 2
-#define NN_NIC_FREE 3
-#define NN_NIC_MSGS 4
-#define NN_NIC_BUSY 5
-#define NN_NIC_WAIT 6
-#define NN_NS_LOCAL 7
-#define NN_NS_REMOTE 8
-#define NN_NS_UPGRADES 9
-#define NN_NS_BCHITS 10
-#define NN_NS_CAUSE0 11
-#define NN_BCS_HITS 14
-#define NN_BCS_MISSES 15
-#define NN_BCS_INVAL 16
-#define NN_BCS_EVICT 17
-#define NN_MAPFAULT 18
-#define NN_NS_PCHITS 19
-#define NN_PCS_HITS 20
-#define NN_PCS_MISSES 21
-#define NN_PCS_FILLS 22
-#define NN_PCS_INVAL 23
-#define NN_RF_TOTAL 24
-
-/* MUT cells */
-#define MUT_K 0
-#define MUT_BYTES 1
-#define MUT_DIR_INV 2
-#define MUT_DIR_WB 3
-#define MUT_CTR_RESETS 4
-#define MUT_RESIDUAL 5
-#define MUT_NPLACED 6
-
-/* OUT record */
-#define OUT_KIND 0
-#define OUT_P 1
-#define OUT_I 2
-#define OUT_BLOCK 3
-#define OUT_PAGE 4
-#define OUT_WRITE 5
-#define OUT_START 6
-#define OUT_WAIT 7
-#define OUT_CLOCK 8
-#define OUT_HOME 9
-#define OUT_MODE 10
-#define OUT_SERVICE 11
-#define OUT_VERSION 12
-#define OUT_FAULT 13
-#define OUT_EVAL 14
-
-/* return codes */
-#define RC_DONE 0
-#define RC_BAIL_FAULT 1
-#define RC_BAIL_COLLAPSE 2
-#define RC_BAIL_REPLICATE 3
-#define RC_BAIL_MIGRATE 4
-#define RC_BAIL_RELOCATE 5
-#define RC_BAIL_DECIDE 6
-#define RC_BAIL_PAGECACHE 7
 
 #define BAIL(code) do { \
     mut[MUT_K] = k; \

@@ -20,8 +20,10 @@ Marshalling contract
   kernel with dangling pointers.  :meth:`KernelState.reserve_for_phase`
   therefore pre-reserves every store past the phase's maxima (whole
   pages, so page operations executed during bails cannot grow anything
-  either) *before* the views are taken, and :meth:`release` drops them
-  before the next phase's reserve.
+  either) *before* the views are taken.  The walk's bound runner
+  (:meth:`KernelState.bind_walk`) pins the views too, so it lives on the
+  state and :meth:`release` drops it with them before the next phase's
+  reserve.
 * **Python-object state is mirrored as deltas.**  Counters that live in
   plain Python attributes (``NodeStats`` fields, cache statistics, the
   directory's scalar counters, message counts) accumulate in int64 delta
@@ -37,9 +39,11 @@ Marshalling contract
   bail and :meth:`load_nics` re-reads them after; buses are untouched by
   protocol code and stay in the mirror for the whole phase.
 
-Layout constants (``CON_*``, ``PP_*``, ``NN_*``, ``MUT_*``, ``OUT_*``)
-are shared with :mod:`repro.engine.kernel.walk`; ``cwalk.c`` mirrors them
-as ``#define`` s — keep all three in sync.
+This module is the single source of the kernel's memory layout: the
+index constants (``CON_*``, ``FCON_*``, ``PP_*``, ``NN_*``, ``MUT_*``,
+``OUT_*``) and return codes (``RC_*``) collected in :data:`LAYOUT`, which
+:mod:`repro.engine.kernel.cbuild` emits as ``#define`` s ahead of
+``cwalk.c`` at build time.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from repro.mem.page_table import MODE_CODES, PageMode
 _MAPPING_FAULT = FaultKind.MAPPING_FAULT
 
 # ---------------------------------------------------------------------------
-# layout constants (mirrored as #defines in cwalk.c — keep in sync)
+# layout constants (emitted as cwalk.c's #defines, see LAYOUT)
 # ---------------------------------------------------------------------------
 
 #: CON — immutable run/phase constants (int64).
@@ -117,6 +121,11 @@ RC_BAIL_RELOCATE = 5   #: static R-NUMA decision: relocate into the page cache
 RC_BAIL_DECIDE = 6     #: adaptive policy evaluation point (``OUT_EVAL`` mask)
 RC_BAIL_PAGECACHE = 7  #: S-COMA first-touch allocation — via ``_service_remote_page``
 
+#: Every layout constant by name: the C walk's ``#define`` s.
+LAYOUT = {name: value for name, value in sorted(globals().items())
+          if name.startswith(("CON_", "FCON_", "PP_", "NN_", "MUT_", "OUT_",
+                              "RC_"))}
+
 
 def _i64(buf) -> np.ndarray:
     """Writable int64 view of a buffer-backed store (zero-copy)."""
@@ -172,9 +181,10 @@ def schedule_arrays(phase, sched, geom_key):
 class KernelState:
     """One phase's marshalled state: store views, mirrors and schedule.
 
-    Built per phase (store buffers may have grown between phases, moving
-    the underlying memory); :meth:`release` must be called before the
-    next phase's pre-reserve so the export locks are dropped.
+    The views are taken per phase (store buffers may have grown between
+    phases, moving the underlying memory); :meth:`release` must be
+    called before the next phase's pre-reserve so the export locks —
+    held by the views and by the bound :attr:`runner` — are dropped.
     """
 
     def __init__(self, machine, num_procs, caches, node_of):
@@ -309,8 +319,9 @@ class KernelState:
         # PageRecords are materialized lazily by materialize_placements
         self.place_log = empty
 
-        # store views — taken lazily per phase (see marshal_phase)
-        self._views_live = False
+        # store views — taken per phase (see marshal_phase) — and the
+        # backend runner bound over them (see bind_walk)
+        self.runner = None
 
     # -- per-phase store views ----------------------------------------------
 
@@ -433,10 +444,38 @@ class KernelState:
         for p in range(self.num_procs):
             self.q_idx[p] = empty
             self.q_blk[p] = empty
-        self._views_live = True
+
+    def bind_walk(self, bind, schedule) -> None:
+        """Bind the C walk to this phase's views as :attr:`runner`.
+
+        ``bind`` is :func:`repro.engine.kernel.cbuild.load_cwalk`'s
+        binder and ``schedule`` the phase's :func:`schedule_arrays`
+        columns; the tuple passed is ``repro_kernel_walk``'s parameter
+        list.  The runner pins every argument (the walk holds raw
+        pointers into them), so it lives here and :meth:`release` drops
+        it together with the views.
+        """
+        self.runner = bind((
+            self.con, self.fcon, self.mut, self.pp, self.nn, self.msg_delta,
+            self.out,
+            self.dir_sharers, self.dir_owner, self.dir_versions,
+            self.dir_tracked,
+            self.vm_home, self.vm_replicated, self.vm_replica_mask,
+            self.ctr_read, self.ctr_write, self.ctr_since,
+            self.ctr_live_r, self.ctr_live_w,
+            self.hy_scores, self.hy_seen,
+            self.departed, self.pt_modes, self.pt_tracked, self.pt_faults,
+            self.bc_blocks, self.bc_versions, self.bc_dirty,
+            self.cb, self.cv, self.cd, self.status,
+            *schedule,
+            self.rf_counts, self.pg_totals, self.pc_res, self.pc_version,
+            self.pc_dirty, self.pc_stamp, self.pc_clock, self.pc_nvalid,
+            self.pc_ndirty, self.pc_fills,
+            self.place_log, self.q_idx, self.q_blk))
 
     def release(self) -> None:
-        """Drop the store views (and their buffer export locks)."""
+        """Drop the runner and the store views (their export locks)."""
+        self.runner = None
         self.dir_sharers = self.dir_owner = self.dir_versions = None
         self.dir_tracked = self.departed = None
         self.vm_home = self.vm_replicated = self.vm_replica_mask = None
@@ -450,7 +489,6 @@ class KernelState:
         self.pc_res = self.pc_version = self.pc_dirty = None
         self.pc_stamp = self.pc_clock = self.pc_nvalid = None
         self.pc_ndirty = self.pc_fills = None
-        self._views_live = False
 
     # -- mirror synchronisation ---------------------------------------------
 
@@ -601,23 +639,5 @@ class KernelState:
             self.counters.resets += int(mut[MUT_CTR_RESETS])
             mut[MUT_CTR_RESETS] = 0
 
-    # -- demoted queues ------------------------------------------------------
 
-    def set_queues(self, q_idx_lists, q_blk_lists, q_cur) -> None:
-        """Install rebuilt demoted queues (after a bail's demotions)."""
-        P = self.num_procs
-        pp = self.pp
-        for p in range(P):
-            qi = q_idx_lists[p]
-            start = q_cur[p]
-            self.q_idx[p] = np.asarray(qi[start:], dtype=np.int64)
-            self.q_blk[p] = np.asarray(q_blk_lists[p][start:],
-                                       dtype=np.int64)
-            pp[PP_QCUR * P + p] = 0
-            pp[PP_QLEN * P + p] = len(self.q_idx[p])
-
-
-__all__ = [name for name in dir() if name.startswith(("CON_", "FCON_", "PP_",
-                                                      "NN_", "MUT_", "OUT_",
-                                                      "RC_"))]
-__all__ += ["KernelState", "schedule_arrays", "NO_INDEX"]
+__all__ = [*LAYOUT, "LAYOUT", "KernelState", "schedule_arrays", "NO_INDEX"]

@@ -9,6 +9,8 @@ only fixtures (and re-exports these helpers for backwards compatibility).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.config import MachineConfig
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import PageGroup, Phase, SharingPattern, WorkloadSpec
@@ -41,3 +43,10 @@ def make_trace(spec: WorkloadSpec, machine: MachineConfig, *, seed: int = 0,
     """Generate a trace for ``spec`` on ``machine``."""
     return TraceGenerator(spec, machine, access_scale=access_scale,
                           seed=seed).generate()
+
+
+def require_c_backend() -> None:
+    """Skip the calling test when the kernel's C walk cannot be built."""
+    from repro.engine.kernel.cbuild import load_cwalk
+    if load_cwalk() is None:
+        pytest.skip("no working C toolchain")

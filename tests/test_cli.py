@@ -14,6 +14,8 @@ from repro.core.factory import SYSTEM_NAMES
 from repro.kernel.placement import PLACEMENT_NAMES
 from repro.workloads import list_workloads
 
+from helpers import require_c_backend
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -161,7 +163,8 @@ class TestExpCommand:
                                                          monkeypatch):
         """--profile prints the stable bail-kind counters and the full
         (possibly multi-condition) fallback reason per ineligible run."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         code = main(["exp", "figure5", "--apps", "lu", "--scale", "0.03",
                      "--systems", "rnuma,scoma", "--engine", "kernel",
                      "--profile"])
@@ -173,7 +176,7 @@ class TestExpCommand:
                      "relocate", "decide", "pagecache"):
             assert f"{kind}=" in bails_line
         # every system rides the kernel, the perfect baseline included
-        assert re.search(r" perfect +kernel:interp ", out), out
+        assert re.search(r" perfect +kernel:c ", out), out
         assert "kernel fallbacks:" not in out
 
     def test_exp_axis_overrides_and_csv(self, capsys, tmp_path):

@@ -26,7 +26,7 @@ from repro.workloads.trace import PhaseTrace, Trace
 
 import numpy as np
 
-from helpers import make_simple_spec, make_trace
+from helpers import make_simple_spec, make_trace, require_c_backend
 
 
 NODE_FIELDS = (
@@ -361,20 +361,7 @@ class TestResidualSchedule:
 
 
 class TestKernelEngine:
-    """engine=kernel: per-backend bit-identity, fallback and profile."""
-
-    BACKENDS = ["interp", "c", "numba"]
-
-    @staticmethod
-    def _require_backend(backend: str) -> None:
-        if backend == "c":
-            from repro.engine.kernel.cbuild import load_cwalk
-            if load_cwalk() is None:
-                pytest.skip("no working C toolchain")
-        elif backend == "numba":
-            from repro.engine.kernel.walk import get_njit_walk
-            if get_njit_walk() is None:
-                pytest.skip("numba not installed")
+    """engine=kernel: C-walk bit-identity, fallback and profile."""
 
     def _trace(self, small_machine):
         spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
@@ -382,14 +369,13 @@ class TestKernelEngine:
                                 shift=1, phases=3)
         return make_trace(spec, small_machine, seed=5)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("system", ["ccnuma", "migrep"])
-    def test_backend_bit_identical(self, backend, system, small_config,
+    def test_backend_bit_identical(self, system, small_config,
                                    small_machine, monkeypatch):
-        """Every available backend reproduces legacy exactly — including
-        the page-op-churn shape that exercises the bail path."""
-        self._require_backend(backend)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        """The C walk reproduces legacy exactly — including the
+        page-op-churn shape that exercises the bail path."""
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         trace = self._trace(small_machine)
         ref_machine = Machine(small_config, build_system(system))
         ref = fingerprint(ref_machine, ref_machine.run(trace, engine="legacy"))
@@ -397,7 +383,7 @@ class TestKernelEngine:
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
         assert prof["engine"] == "kernel"
-        assert prof["backend"] == backend
+        assert prof["backend"] == "c"
         assert prof["bails"] == sum(prof["bail_kinds"].values())
         assert fingerprint(machine, stats) == ref
 
@@ -416,22 +402,27 @@ class TestKernelEngine:
                           ref_machine.run(trace, engine="batched"))
         assert fingerprint(machine, stats) == ref
 
+    @pytest.mark.parametrize("value", ["turbo", "interp", "numba"])
     def test_unknown_backend_falls_back_with_reason(
-            self, small_config, small_machine, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
+            self, value, small_config, small_machine, monkeypatch):
+        """The C walk is the only backend: the retired ``interp`` and
+        ``numba`` names are as unknown as any other."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", value)
         trace = self._trace(small_machine)
         machine = Machine(small_config, build_system("ccnuma"))
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
         assert prof["engine"] == "batched"
         assert prof["requested_engine"] == "kernel"
-        assert "turbo" in prof["fallback_reason"]
+        assert prof["fallback_reason"] == (
+            f"unknown REPRO_KERNEL_BACKEND={value!r}")
 
     def test_infinite_block_cache_runs_on_kernel(self, small_config,
                                                  small_machine, monkeypatch):
         """perfect's infinite block cache rides the CC-NUMA lane (its
         frames are indexed by block id), bit-identical to batched."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         trace = self._trace(small_machine)
         ref_machine = Machine(small_config, build_system("perfect"))
         ref = fingerprint(ref_machine,
@@ -447,7 +438,8 @@ class TestKernelEngine:
                                               small_machine, monkeypatch):
         """rnuma no longer trips a blanket page-cache disqualifier: it
         runs compiled, bit-identical to batched."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         trace = self._trace(small_machine)
         ref_machine = Machine(small_config, build_system("rnuma"))
         ref = fingerprint(ref_machine,
@@ -461,7 +453,8 @@ class TestKernelEngine:
     def test_adaptive_policy_runs_on_kernel(self, small_config,
                                             small_machine, monkeypatch):
         """Adaptive policies ride the compiled walk via decide bails."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         trace = self._trace(small_machine)
         spec = build_system("migrep").derive("migrep-competitive",
                                              migrep_policy="competitive")
@@ -500,21 +493,23 @@ class TestKernelEngine:
         """An exception escaping the compiled walk (marshalling bug,
         broken C build) re-runs batched from a pristine machine with the
         crash surfaced as the fallback reason."""
-        import repro.engine.kernel as kernel_mod
+        from repro.engine.kernel import cbuild
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         trace = self._trace(small_machine)
 
-        def boom(*args, **kwargs):
-            raise ValueError("synthetic backend crash")
+        def bind(args):
+            def runner():
+                raise ValueError("synthetic backend crash")
+            return runner
 
-        monkeypatch.setattr(kernel_mod, "kernel_walk", boom)
+        monkeypatch.setattr(cbuild, "load_cwalk", lambda: bind)
         machine = Machine(small_config, build_system("migrep"))
         stats = machine.run(trace, engine="kernel")
         prof = stats.engine_profile
         assert prof["engine"] == "batched"
         assert prof["requested_engine"] == "kernel"
-        assert "crashed" in prof["fallback_reason"]
+        assert "kernel backend 'c' crashed" in prof["fallback_reason"]
         assert "synthetic backend crash" in prof["fallback_reason"]
         ref_machine = Machine(small_config, build_system("migrep"))
         ref = ref_machine.run(trace, engine="batched")
@@ -527,13 +522,12 @@ class TestKernelEngine:
         assert stats.stall_breakdown == ref.stall_breakdown
         assert machine.stats.execution_time == ref.execution_time
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_promotion_env_is_invariant(self, backend, small_config,
-                                        small_machine, monkeypatch):
+    def test_promotion_env_is_invariant(self, small_config, small_machine,
+                                        monkeypatch):
         """The kernel runs promotion-free; REPRO_PROMOTION must not
         change a single bit of its output."""
-        self._require_backend(backend)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         trace = self._trace(small_machine)
         fps = []
         for promo in ("0", "1"):

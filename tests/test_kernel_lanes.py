@@ -1,13 +1,15 @@
 """Kernel lane equivalence: R-NUMA, page-cache probe and decision bails.
 
 The full-family kernel runs every stock system compiled, ``perfect``'s
-infinite block cache included.  These tests pin each lane against the
-batched engine bit-for-bit, per backend, under configurations harsh
+infinite block cache included.  These tests pin each lane of the C walk
+against the batched engine bit-for-bit, under configurations harsh
 enough to actually fire the lane: tiny block caches so capacity
 refetches drive relocation storms, tiny page caches so S-COMA replaces
 pages constantly, low thresholds so both static and adaptive decisions
 trigger, and page operations flushing an infinite block cache.
-Hypothesis then hunts for orderings the hand-written traces miss.
+Hypothesis then hunts for orderings the hand-written traces miss, and
+the store-growth shapes pin phases that must grow a store between
+walks.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from repro.config import (
     ThresholdConfig,
 )
 from repro.core.factory import SYSTEM_NAMES, build_system
+from repro.workloads.importers import import_trace_file
 from repro.workloads.spec import SharingPattern
 from repro.workloads.trace import PhaseTrace, Trace
+from repro.workloads.tracefile import open_trace
 
-from helpers import make_simple_spec, make_trace
+from helpers import make_simple_spec, make_trace, require_c_backend
 from test_engine_equivalence import fingerprint
-
-BACKENDS = ["interp", "c", "numba"]
 
 #: adaptive / mixed-policy variants layered over the stock systems
 POLICY_VARIANTS = {
@@ -42,17 +44,6 @@ POLICY_VARIANTS = {
                                            "rnuma_policy": "hysteresis"}),
     "hybrid-mixed": ("rnuma-migrep", {"rnuma_policy": "competitive"}),
 }
-
-
-def _require_backend(backend: str) -> None:
-    if backend == "c":
-        from repro.engine.kernel.cbuild import load_cwalk
-        if load_cwalk() is None:
-            pytest.skip("no working C toolchain")
-    elif backend == "numba":
-        from repro.engine.kernel.walk import get_njit_walk
-        if get_njit_walk() is None:
-            pytest.skip("numba not installed")
 
 
 def _harsh_config() -> SimulationConfig:
@@ -87,16 +78,17 @@ def _spec_for(name: str):
     return build_system(name)
 
 
-def _assert_kernel_matches_batched(cfg, spec, trace, backend, monkeypatch,
+def _assert_kernel_matches_batched(cfg, spec, trace, monkeypatch,
                                    expect_bails=()):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    require_c_backend()
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
     ref_machine = Machine(cfg, spec)
     ref = fingerprint(ref_machine, ref_machine.run(trace, engine="batched"))
     machine = Machine(cfg, spec)
     stats = machine.run(trace, engine="kernel")
     prof = stats.engine_profile
     assert prof["engine"] == "kernel", prof.get("fallback_reason")
-    assert prof["backend"] == backend
+    assert prof["backend"] == "c"
     assert prof["bails"] == sum(prof["bail_kinds"].values())
     for kind in expect_bails:
         assert prof["bail_kinds"][kind] > 0, (kind, prof["bail_kinds"])
@@ -107,14 +99,11 @@ def _assert_kernel_matches_batched(cfg, spec, trace, backend, monkeypatch,
 class TestFullFamilyEquivalence:
     """Every stock system runs compiled, bit-identical."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
-    def test_stock_system_bit_identical(self, backend, system, monkeypatch):
-        _require_backend(backend)
+    def test_stock_system_bit_identical(self, system, monkeypatch):
         cfg = _harsh_config()
         _assert_kernel_matches_batched(cfg, _spec_for(system),
-                                       _harsh_trace(cfg), backend,
-                                       monkeypatch)
+                                       _harsh_trace(cfg), monkeypatch)
 
     #: hysteresis MigRep evaluations are inlined in the walk, so only
     #: fired decisions bail; every other adaptive policy bails to the
@@ -128,16 +117,13 @@ class TestFullFamilyEquivalence:
         "hybrid-mixed": ("decide", "migrate"),
     }
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("variant", sorted(POLICY_VARIANTS))
-    def test_adaptive_policy_bit_identical(self, backend, variant,
-                                           monkeypatch):
+    def test_adaptive_policy_bit_identical(self, variant, monkeypatch):
         """Non-static policies ride the walk, bailing only as needed."""
-        _require_backend(backend)
         cfg = _harsh_config()
         prof = _assert_kernel_matches_batched(
-            cfg, _spec_for(variant), _harsh_trace(cfg), backend,
-            monkeypatch, expect_bails=self.EXPECT_BAILS[variant])
+            cfg, _spec_for(variant), _harsh_trace(cfg), monkeypatch,
+            expect_bails=self.EXPECT_BAILS[variant])
         if variant == "migrep-hysteresis":
             # the pure-hysteresis MigRep never leaves the compiled loop
             # for an evaluation that decides NONE
@@ -147,48 +133,39 @@ class TestFullFamilyEquivalence:
 class TestLaneActivation:
     """The harsh shapes really do exercise the lane they target."""
 
-    @pytest.mark.parametrize("backend", ["interp", "c"])
-    def test_relocation_storm(self, backend, monkeypatch):
+    def test_relocation_storm(self, monkeypatch):
         """Capacity thrash drives refetches over the static threshold:
         the rnuma lane fires relocate bails and stays exact."""
-        _require_backend(backend)
         cfg = _harsh_config()
         prof = _assert_kernel_matches_batched(
-            cfg, build_system("rnuma"), _harsh_trace(cfg), backend,
-            monkeypatch, expect_bails=("relocate",))
+            cfg, build_system("rnuma"), _harsh_trace(cfg), monkeypatch,
+            expect_bails=("relocate",))
         assert prof["bail_kinds"]["relocate"] > 100
 
-    @pytest.mark.parametrize("backend", ["interp", "c"])
     @pytest.mark.parametrize("system", ["scoma", "scoma-inf"])
-    def test_page_cache_replacement(self, backend, system, monkeypatch):
+    def test_page_cache_replacement(self, system, monkeypatch):
         """S-COMA page-cache pressure: non-resident pages bail to the
         allocator, resident pages stay in the compiled probe lane."""
-        _require_backend(backend)
         cfg = _harsh_config()
         _assert_kernel_matches_batched(
-            cfg, build_system(system), _harsh_trace(cfg), backend,
-            monkeypatch, expect_bails=("pagecache",))
+            cfg, build_system(system), _harsh_trace(cfg), monkeypatch,
+            expect_bails=("pagecache",))
 
-    @pytest.mark.parametrize("backend", ["interp", "c"])
-    def test_hybrid_fires_both_decisions(self, backend, monkeypatch):
+    def test_hybrid_fires_both_decisions(self, monkeypatch):
         """rnuma-migrep triggers relocations and migrations in one run."""
-        _require_backend(backend)
         cfg = _harsh_config()
         _assert_kernel_matches_batched(
-            cfg, build_system("rnuma-migrep"), _harsh_trace(cfg), backend,
+            cfg, build_system("rnuma-migrep"), _harsh_trace(cfg),
             monkeypatch, expect_bails=("relocate", "migrate"))
 
 
 class TestInfiniteBlockCache:
     """Infinite block caches ride the CC-NUMA lane on block-id frames."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_page_op_protocol_over_infinite_frames(self, backend,
-                                                   monkeypatch):
+    def test_page_op_protocol_over_infinite_frames(self, monkeypatch):
         """MigRep over an infinite block cache: migrations and
         replications flush whole pages out of the dense frames, and
         legacy, batched and kernel agree on every statistic."""
-        _require_backend(backend)
         cfg = _harsh_config()
         spec = _spec_for("migrep-infbc")
         trace = _harsh_trace(cfg)
@@ -199,7 +176,7 @@ class TestInfiniteBlockCache:
         assert fingerprint(batched, batched.run(trace,
                                                 engine="batched")) == ref
         _assert_kernel_matches_batched(
-            cfg, spec, trace, backend, monkeypatch,
+            cfg, spec, trace, monkeypatch,
             expect_bails=("replicate", "migrate"))
 
 
@@ -238,4 +215,81 @@ class TestRandomLaneTraces:
         system = data.draw(st.sampled_from(self.SYSTEMS))
         with pytest.MonkeyPatch.context() as mp:
             _assert_kernel_matches_batched(cfg, _spec_for(system), trace,
-                                           "interp", mp)
+                                           mp)
+
+
+def _phase(name, streams):
+    return PhaseTrace(
+        name=name, compute_per_access=2,
+        blocks=[np.asarray(b, dtype=np.int64) for b, _ in streams],
+        writes=[np.asarray(w, dtype=np.int8) for _, w in streams])
+
+
+@pytest.fixture(scope="module")
+def streamed_rpt(tmp_path_factory):
+    """A 4-phase imported trace whose every phase streams over new pages:
+    4,000 tsv records, one fresh block each, barriers every 1,000."""
+    root = tmp_path_factory.mktemp("growth")
+    tsv = root / "stream.tsv"
+    tsv.write_text("".join(f"{j * 64:#x}\t{int(j % 3 == 0)}\t{j % 4}\n"
+                           for j in range(4000)))
+    return import_trace_file(tsv, root / "stream.rpt", fmt="tsv",
+                             block_size=64, page_size=512, phase_refs=1000)
+
+
+class TestStoreGrowth:
+    """Phases that must grow a store after an earlier phase's walk.
+
+    The walk's bound runner pins the previous phase's store views; if it
+    outlives ``KernelState.release`` the next phase's reserve cannot
+    grow a buffer (``BufferError``).  Each shape runs every stock system
+    on legacy, batched and the C walk and asserts all three agree.
+    """
+
+    def _assert_engines_agree(self, system, trace, monkeypatch):
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
+        cfg = _harsh_config()
+        fps = {}
+        for engine in ("legacy", "batched", "kernel"):
+            machine = Machine(cfg, build_system(system))
+            stats = machine.run(trace, engine=engine)
+            fps[engine] = fingerprint(machine, stats)
+        prof = stats.engine_profile
+        assert prof["engine"] == "kernel", prof.get("fallback_reason")
+        assert fps["batched"] == fps["legacy"]
+        assert fps["kernel"] == fps["legacy"]
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_empty_first_phase(self, system, monkeypatch):
+        """No store is reserved before the first walk, so the second
+        phase grows all of them."""
+        trace = Trace(name="empty-first", num_procs=4, phases=[
+            _phase("empty", [([], [])] * 4),
+            _phase("work", [([p * 8 + k for k in range(16)],
+                             [k % 3 == 0 for k in range(16)])
+                            for p in range(4)]),
+        ])
+        self._assert_engines_agree(system, trace, monkeypatch)
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_later_phase_touches_new_pages(self, system, monkeypatch):
+        """A few pages past everything the first phase touched."""
+        trace = Trace(name="late-pages", num_procs=4, phases=[
+            _phase("first", [([p * 8 + k % 8 for k in range(24)],
+                              [k % 4 == 0 for k in range(24)])
+                             for p in range(4)]),
+            _phase("late", [([200 + p * 8 + k % 8 for k in range(24)],
+                             [k % 5 == 0 for k in range(24)])
+                            for p in range(4)]),
+        ])
+        self._assert_engines_agree(system, trace, monkeypatch)
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_imported_trace_streams_over_new_pages(self, system,
+                                                   streamed_rpt,
+                                                   monkeypatch):
+        """Every phase reaches past the stores' growth slack."""
+        trace = open_trace(streamed_rpt)
+        assert len(trace.phases) == 4
+        self._assert_engines_agree(system, trace, monkeypatch)

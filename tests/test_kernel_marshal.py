@@ -15,8 +15,9 @@ import pytest
 from repro.cluster.machine import Machine
 from repro.core.factory import build_system
 from repro.engine.classify import classify_phase
+from repro.engine.kernel import cbuild
 from repro.engine.kernel.state import (
-    CON_BPP, NN_NIC_FREE, KernelState, schedule_arrays)
+    CON_BPP, LAYOUT, NN_NIC_FREE, KernelState, schedule_arrays)
 from repro.mem.page_table import MODE_CODES, PageMode
 from repro.workloads.trace import PhaseTrace
 
@@ -111,6 +112,22 @@ class TestExportLocks:
         machine.vm.reserve(100_000)
         assert machine.vm.home_of(99_999) is None
 
+    def test_release_drops_the_bound_runner(self, machine, kstate):
+        """A runner pins the arrays it was bound over, as the C binding
+        does; release must drop it with the views so growth works."""
+        def bind(args):
+            def runner():
+                return 0
+            runner.keepalive = args
+            return runner
+
+        _marshal(machine, kstate)
+        kstate.bind_walk(bind, ())
+        kstate.release()
+        assert kstate.runner is None
+        machine.vm.reserve(100_000)
+        machine.directory.reserve(100_000)
+
     def test_reserve_covers_whole_pages(self, machine, kstate):
         """Bail-time page operations touch every block of a page, so the
         reserve must cover the phase's maxima rounded up to pages."""
@@ -153,3 +170,13 @@ class TestScheduleArrays:
         ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot, keys = first
         assert list(keys) == list(sched.keys)
         assert len(ent_i) == len(sched.entries)
+
+
+class TestGeneratedLayout:
+    """cwalk.c takes its layout constants from state.py at build time."""
+
+    def test_every_constant_is_defined_from_state(self):
+        source = cbuild._source().decode()
+        for name, value in LAYOUT.items():
+            assert f"#define {name} {value}\n" in source
+        assert "#define CON_" not in cbuild._SOURCE.read_text()

@@ -19,6 +19,8 @@ from repro.workloads import get_workload
 from repro.workloads.trace import PhaseTrace, Trace
 from repro.workloads.trace_io import load_trace, traces_equal
 
+from helpers import require_c_backend
+
 
 @pytest.fixture(scope="module")
 def cfg():
@@ -429,7 +431,8 @@ class TestKernelFallbackInWorkers:
     def test_eligible_system_keeps_kernel_lane_in_workers(self, cfg,
                                                           ocean_trace,
                                                           monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         items = [(ocean_trace, system, cfg)
                  for system in ("ccnuma", "migrep")]
         with SweepRunner(jobs=2, engine="kernel") as runner:
@@ -443,7 +446,8 @@ class TestKernelFallbackInWorkers:
         stable key set, and survive the worker process boundary."""
         from repro.engine.kernel import BAIL_KIND_NAMES
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "interp")
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         items = [(ocean_trace, system, cfg)
                  for system in ("rnuma", "scoma")]
         with SweepRunner(jobs=2, engine="kernel") as runner:
