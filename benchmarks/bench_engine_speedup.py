@@ -67,8 +67,8 @@ def miss_dense_spec(*, phases: int = 4, accesses_per_proc: int = 1500,
     the per-node working set exceeds both the L1 and the block cache so
     the residual lane stays busy.  Every drawn block is referenced
     ``run_length`` times back to back — after the miss fill the tail of
-    each run is a deterministic hit (MigrantStore's observation), the
-    structure the engine's dynamic promotion lane resolves in bulk.
+    each run is a deterministic hit (MigrantStore's observation) that
+    the static classifier proves fast unless a shootdown demotes it.
     """
     mig = PageGroup(name="mig", num_pages=96,
                     pattern=SharingPattern.MIGRATORY,
@@ -149,7 +149,7 @@ def test_engine_speedup_hot_set(benchmark):
 
 @pytest.mark.parametrize("system", ["migrep", "rnuma"])
 def test_engine_speedup_miss_dense_runs(benchmark, system):
-    """Dynamic-promotion speedup on the miss-dense post-fill-run workload.
+    """Batched-engine speedup on the miss-dense post-fill-run workload.
 
     This is the configuration ``scripts/bench_compare.py`` tracks in
     ``BENCH_engine.json``: the residual lane dominated by miss fills
@@ -164,18 +164,6 @@ def test_engine_speedup_miss_dense_runs(benchmark, system):
     results = _time_engines(cfg, system, trace)
     _assert_identical(results["legacy"][1], results["batched"][1])
 
-    # the same run with dynamic promotion disabled brackets what the
-    # promotion lane buys (and approximates the pre-promotion engine)
-    os.environ["REPRO_PROMOTION"] = "0"
-    try:
-        machine = Machine(cfg, build_system(system))
-        start = time.perf_counter()
-        stats_off = machine.run(trace, engine="batched")
-        nopromo_s = time.perf_counter() - start
-    finally:
-        os.environ.pop("REPRO_PROMOTION", None)
-    _assert_identical(results["batched"][1], stats_off)
-
     def run_batched():
         machine = Machine(cfg, build_system(system))
         return machine.run(trace, engine="batched")
@@ -186,9 +174,7 @@ def test_engine_speedup_miss_dense_runs(benchmark, system):
     benchmark.extra_info["accesses"] = trace.total_accesses()
     benchmark.extra_info["legacy_s"] = round(legacy_s, 4)
     benchmark.extra_info["batched_s"] = round(batched_s, 4)
-    benchmark.extra_info["nopromo_s"] = round(nopromo_s, 4)
     benchmark.extra_info["speedup"] = round(legacy_s / batched_s, 2)
-    benchmark.extra_info["promotion_speedup"] = round(nopromo_s / batched_s, 2)
     benchmark.extra_info["refs_per_s_batched"] = int(
         trace.total_accesses() / batched_s)
 

@@ -10,7 +10,7 @@ script re-measures the same quantities and
   whose numbers you want committed),
 * ``--check``   fails (exit 1) when the fresh measurements regress —
   used in CI, so the comparisons are *ratios* (batched vs legacy on the
-  same host, promotion on vs off, warm vs cold sweep workers), which
+  same host, kernel vs batched, warm vs cold sweep workers), which
   transfer across machines, never absolute wall times.
 
 Gates enforced by ``--check`` (record schema 5):
@@ -18,14 +18,10 @@ Gates enforced by ``--check`` (record schema 5):
 1. On the miss-dense configuration (``benchmarks/bench_engine_speedup.
    miss_dense_spec``) the batched engine's speedup over the legacy
    interpreter for ``migrep`` must be at least ``1.3x`` the PR 4
-   baseline's recorded speedup (the dynamic-promotion / line-precise
-   demotion / inlined-upgrade work), and ``rnuma`` must not regress
-   below the baseline band.
-2. Adaptive promotion (the default) must not lose to either forced
-   mode: ``promotion_speedup`` (forced-on over adaptive) and
-   ``nopromo_speedup`` (forced-off over adaptive) both stay within the
-   tolerance band of 1.0.
-3. The compiled residual kernel (``engine=kernel``) must hold a
+   baseline's recorded speedup (the line-precise demotion /
+   inlined-upgrade / cached-classification work), and ``rnuma`` must not
+   regress below the baseline band.
+2. The compiled residual kernel (``engine=kernel``) must hold a
    ``>= 5x`` miss-dense migrep speedup over the batched engine on the
    same host, and the full-family lanes added with schema 5 — ``rnuma``
    (the R-NUMA relocation lane), ``rnuma_migrep`` (the hybrid) and
@@ -35,16 +31,16 @@ Gates enforced by ``--check`` (record schema 5):
    regress below the committed ``current`` band.  When the host has
    no C toolchain the lanes record their ``fallback_reason`` and the
    gates are skipped — the pure-Python install stays green.
-4. The warm shared-memory ``jobs=2`` sweep must not be slower than the
+3. The warm shared-memory ``jobs=2`` sweep must not be slower than the
    cold per-worker npz path beyond the tolerance band.
-5. The hot-set batched-vs-legacy speedup must stay within the band of
+4. The hot-set batched-vs-legacy speedup must stay within the band of
    the committed ``current`` recording.
-6. Streaming a trace from an on-disk trace file
+5. Streaming a trace from an on-disk trace file
    (:class:`repro.workloads.tracefile.StreamingTrace`) must cost at most
    10% over running the same trace in memory (schema 3, ``streaming``
    lane) — the mmap-served phase views are supposed to be within noise
    of heap arrays, and this lane keeps the out-of-core path honest.
-7. A sweep checkpointing into a **cold** durable
+6. A sweep checkpointing into a **cold** durable
    :class:`~repro.experiments.store.ResultStore` must cost at most 10%
    over the same sweep without a store (schema 4, ``store`` lane) —
    the per-run pickle+upsert is supposed to disappear next to
@@ -52,8 +48,8 @@ Gates enforced by ``--check`` (record schema 5):
    informationally (it is bounded by unpickling, typically a tiny
    fraction of the cold sweep).
 
-Every timing lane also asserts bit-identical results across engines and
-promotion modes first — a speedup over wrong results is worthless.
+Every timing lane also asserts bit-identical results across engines
+first — a speedup over wrong results is worthless.
 Everything measured is also printed, so CI logs double as a perf record.
 """
 
@@ -85,59 +81,25 @@ def _build_system(system):
     return build_system(system)
 
 
-def _one_run(cfg, system, trace, engine, env):
-    """One timed run.  ``env`` pins ``REPRO_PROMOTION``: ``"1"`` /
-    ``"0"`` force promotion on/off, ``""`` unsets it (the adaptive
-    default), ``None`` leaves the ambient environment alone."""
+def _one_run(cfg, system, trace, engine):
+    """One timed run: ``(seconds, stats)``."""
     from repro.cluster.machine import Machine
 
-    saved = None
-    if env is not None:
-        saved = os.environ.get("REPRO_PROMOTION")
-        if env == "":
-            os.environ.pop("REPRO_PROMOTION", None)
-        else:
-            os.environ["REPRO_PROMOTION"] = env
-    try:
-        machine = Machine(cfg, _build_system(system))
-        t0 = time.perf_counter()
-        stats = machine.run(trace, engine=engine)
-        return time.perf_counter() - t0, stats
-    finally:
-        if env is not None:
-            if saved is None:
-                os.environ.pop("REPRO_PROMOTION", None)
-            else:
-                os.environ["REPRO_PROMOTION"] = saved
+    machine = Machine(cfg, _build_system(system))
+    t0 = time.perf_counter()
+    stats = machine.run(trace, engine=engine)
+    return time.perf_counter() - t0, stats
 
 
-def _median_run(cfg, system, trace, engine, *, env=None, repeats=3):
-    """Median-of-``repeats`` wall time for one (system, engine) lane."""
-    (med,), (stats,) = _interleaved_runs(cfg, system, trace,
-                                         [(engine, env)], repeats)
-    return med, stats
-
-
-def _interleaved_runs(cfg, system, trace, lanes, repeats):
-    """Median times for several lanes, repeats interleaved round-robin.
-
-    The lanes being compared are always ratioed against each other, and
-    wall-clock drift on shared machines (CPU frequency, co-tenants)
-    easily exceeds the effects being measured.  Interleaving the
-    repeats spreads the drift over every lane instead of loading it
-    onto whichever lane ran last.  Returns ``(medians, stats)`` in lane
-    order; each lane gets one free warmup run first.
-    """
-    times = [[] for _ in lanes]
-    stats = [None] * len(lanes)
-    for j, (engine, env) in enumerate(lanes):
-        _one_run(cfg, system, trace, engine, env)
+def _median_run(cfg, system, trace, engine, *, repeats=3):
+    """Median-of-``repeats`` wall time for one (system, engine) lane,
+    after one free warmup run."""
+    _one_run(cfg, system, trace, engine)
+    times = []
     for _ in range(repeats):
-        for j, (engine, env) in enumerate(lanes):
-            t, st = _one_run(cfg, system, trace, engine, env)
-            times[j].append(t)
-            stats[j] = st
-    return [statistics.median(t) for t in times], stats
+        t, stats = _one_run(cfg, system, trace, engine)
+        times.append(t)
+    return statistics.median(times), stats
 
 
 def _assert_identical(system, a, b) -> None:
@@ -173,12 +135,11 @@ def _kernel_lane(cfg, system, trace, batched_s, batched_stats,
 
 
 def measure_miss_dense(scale: float, repeats: int) -> dict:
-    """Engine and promotion-mode timings on the miss-dense configuration.
+    """Engine timings on the miss-dense configuration.
 
-    ``batched_s`` is the adaptive-promotion default; the forced modes
-    (``promo_on_s`` / ``nopromo_s``) quantify what the per-phase
-    decision buys, and the ``kernel`` sub-record times the compiled
-    residual kernel against the same trace.
+    ``batched_s`` and ``legacy_s`` give the batched engine's speedup,
+    and the ``kernel`` sub-record times the compiled residual kernel
+    against the same trace.
     """
     from bench_engine_speedup import miss_dense_config, miss_dense_spec
     from repro.workloads.generator import TraceGenerator
@@ -191,28 +152,15 @@ def measure_miss_dense(scale: float, repeats: int) -> dict:
     for system in ("migrep", "rnuma"):
         legacy_s, legacy_stats = _median_run(cfg, system, trace, "legacy",
                                              repeats=max(1, repeats - 1))
-        lanes = [("batched", ""), ("batched", "1"), ("batched", "0")]
-        ((batched_s, promo_on_s, nopromo_s),
-         (batched_stats, promo_on_stats, nopromo_stats)) = _interleaved_runs(
-            cfg, system, trace, lanes, repeats)
-        for other in (batched_stats, promo_on_stats, nopromo_stats):
-            _assert_identical(system, legacy_stats, other)
+        batched_s, batched_stats = _median_run(cfg, system, trace,
+                                               "batched", repeats=repeats)
+        _assert_identical(system, legacy_stats, batched_stats)
         prof = batched_stats.engine_profile or {}
-        decisions = prof.get("phase_promotions") or []
         out[system] = {
             "legacy_s": round(legacy_s, 4),
             "batched_s": round(batched_s, 4),
-            "promo_on_s": round(promo_on_s, 4),
-            "nopromo_s": round(nopromo_s, 4),
             "refs_per_s": int(trace.total_accesses() / batched_s),
             "speedup_vs_legacy": round(legacy_s / batched_s, 3),
-            "promotion_speedup": round(promo_on_s / batched_s, 3),
-            "nopromo_speedup": round(nopromo_s / batched_s, 3),
-            "promotion_mode": prof.get("promotion_mode", "?"),
-            "phases_promoted": sum(
-                1 for d in decisions if d.get("promotion")),
-            "phases": len(decisions),
-            "promoted": int(prof.get("promoted", 0)),
             "demoted": int(prof.get("demoted", 0)),
             "residual": int(prof.get("residual", 0)),
             "kernel": _kernel_lane(cfg, system, trace, batched_s,
@@ -220,14 +168,13 @@ def measure_miss_dense(scale: float, repeats: int) -> dict:
         }
     # full-family kernel lanes (schema 5): the hybrid system and the
     # adaptive-policy ride-along get a lighter record — legacy, batched
-    # and the gated kernel number — without the promotion-mode sweep
+    # and the gated kernel number — without the lane counters
     for system, key in (("rnuma-migrep", "rnuma_migrep"),
                         ("hysteresis", "hysteresis")):
         legacy_s, legacy_stats = _median_run(cfg, system, trace, "legacy",
                                              repeats=max(1, repeats - 1))
         batched_s, batched_stats = _median_run(cfg, system, trace,
-                                               "batched", env="",
-                                               repeats=repeats)
+                                               "batched", repeats=repeats)
         _assert_identical(system, legacy_stats, batched_stats)
         out[key] = {
             "legacy_s": round(legacy_s, 4),
@@ -253,7 +200,7 @@ def measure_hot_set(scale: float, repeats: int) -> dict:
     legacy_s, legacy_stats = _median_run(cfg, "ccnuma", trace, "legacy",
                                          repeats=repeats)
     batched_s, batched_stats = _median_run(cfg, "ccnuma", trace, "batched",
-                                           env="", repeats=repeats)
+                                           repeats=repeats)
     _assert_identical("ccnuma", legacy_stats, batched_stats)
     return {
         "accesses": trace.total_accesses(),
@@ -336,10 +283,10 @@ def measure_streaming(scale: float, repeats: int) -> dict:
         times = {label: [] for label, _ in lanes}
         stats = {}
         for label, tr in lanes:            # warmup (maps the file once)
-            _one_run(cfg, "migrep", tr, "batched", "")
+            _one_run(cfg, "migrep", tr, "batched")
         for _ in range(repeats):
             for label, tr in lanes:
-                t, st = _one_run(cfg, "migrep", tr, "batched", "")
+                t, st = _one_run(cfg, "migrep", tr, "batched")
                 times[label].append(t)
                 stats[label] = st
         _assert_identical("migrep", stats["memory"], stats["file"])
@@ -458,21 +405,7 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
             _fail(failures, "miss-dense rnuma speedup regressed below the "
                             "PR 4 band")
 
-    # 2. adaptive promotion must not lose to either forced mode
-    for system in ("migrep", "rnuma"):
-        for key, label in (("promotion_speedup", "forced-on"),
-                           ("nopromo_speedup", "forced-off")):
-            ratio = md[system].get(key)
-            if ratio is None:
-                continue
-            print(f"miss-dense {system} {label} / adaptive: {ratio:.2f} "
-                  f"(gate >= {1 - tolerance:.2f})")
-            if ratio < 1 - tolerance:
-                _fail(failures,
-                      f"adaptive promotion loses to {label} on the "
-                      f"{system} miss-dense run beyond the tolerance band")
-
-    # 3. compiled kernel lanes: migrep >= 5x over batched on the same
+    # 2. compiled kernel lanes: migrep >= 5x over batched on the same
     # host; the full-family lanes (rnuma relocation, the hybrid, and
     # migrep under the inlined hysteresis policy) >= 4x each — and
     # none below the band of the committed recording.  A fallback (no
@@ -499,7 +432,7 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
             _fail(failures, f"{key} kernel speedup regressed below the "
                             "committed band")
 
-    # 4. warm shared-memory workers must not lose to the cold path.  Both
+    # 3. warm shared-memory workers must not lose to the cold path.  Both
     # sides are fresh best-of-two wall clocks (no committed anchor), so
     # the margin is doubled to keep small shared CI machines from
     # flaking the build.
@@ -510,7 +443,7 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
         _fail(failures, "warm shared-memory sweep slower than the cold npz "
                         "path")
 
-    # 5. hot-set band vs the committed current recording
+    # 4. hot-set band vs the committed current recording
     cur_hot = current.get("hot_set", {}).get("speedup_vs_legacy")
     hot = measured["hot_set"]["speedup_vs_legacy"]
     if cur_hot:
@@ -522,7 +455,7 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
     else:
         print(f"hot-set speedup vs legacy: {hot:.2f} (no recording)")
 
-    # 6. streaming overhead: a file-served run may cost at most 10% over
+    # 5. streaming overhead: a file-served run may cost at most 10% over
     # the in-memory run of the same trace (both sides fresh wall clocks,
     # so the tolerance band widens the fixed gate rather than anchoring
     # to a committed number)
@@ -535,10 +468,10 @@ def check(measured: dict, recorded: dict, tolerance: float) -> int:
             _fail(failures, "file-streamed run exceeded the 10% overhead "
                             "budget over the in-memory run")
 
-    # 7. cold-store checkpointing overhead: a sweep writing every result
+    # 6. cold-store checkpointing overhead: a sweep writing every result
     # into a fresh ResultStore may cost at most 10% over the same sweep
     # without a store (fixed gate widened by the tolerance band, same
-    # shape as gate 6).  The warm number is informational: it is a
+    # shape as gate 5).  The warm number is informational: it is a
     # replay, not a simulation.
     store = measured.get("store")
     if store:

@@ -78,10 +78,11 @@ The public API is intentionally small:
     :meth:`ServiceClient.submit` from Python).
 
 ``ENGINE_NAMES``
-    the available execution engines (``"batched"``, the vectorised
-    two-tier default, and ``"legacy"``, the reference interpreter); pick
-    one per run with ``Machine.run(trace, engine=...)`` or globally with
-    the ``REPRO_ENGINE`` environment variable.
+    the available execution engines (``"kernel"``, the compiled default,
+    ``"batched"``, its vectorised pure-Python fallback, and ``"legacy"``,
+    the reference interpreter); pick one per run with
+    ``Machine.run(trace, engine=...)`` or globally with the
+    ``REPRO_ENGINE`` environment variable.
 
 ``analyze_trace``
     sharing-pattern analysis of a workload trace (the measured Table 1).

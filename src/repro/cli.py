@@ -117,7 +117,7 @@ def _add_common(parser: argparse.ArgumentParser, *, apps: bool = True,
                             help="worker processes for independent runs "
                                  "(default: REPRO_JOBS or 1)")
         parser.add_argument("--engine", choices=ENGINE_NAMES, default=None,
-                            help="simulation engine (default: batched, or "
+                            help="simulation engine (default: kernel, or "
                                  "REPRO_ENGINE)")
     parser.add_argument("--csv", type=str, default=None,
                         help="also write the result rows to this CSV file")
@@ -274,18 +274,6 @@ def _engine_label(prof: dict) -> str:
     return engine
 
 
-def _promo_label(prof: dict) -> str:
-    """Promotion-lane label: the mode, with on/total phases if adaptive."""
-    mode = prof.get("promotion_mode")
-    if mode is None:  # pre-mode profile (plain bool)
-        return "on" if prof.get("promotion_enabled") else "off"
-    if mode != "adaptive":
-        return mode
-    decisions = prof.get("phase_promotions") or []
-    n_on = sum(1 for d in decisions if d.get("promotion"))
-    return f"ad:{n_on}/{len(decisions)}"
-
-
 def _render_profile(runner: SweepRunner, rs: ResultSet) -> str:
     """Engine per-lane breakdown + runner counters for ``exp --profile``."""
     stats = rs.runner_stats or runner.stats.as_dict()
@@ -303,11 +291,11 @@ def _render_profile(runner: SweepRunner, rs: ResultSet) -> str:
     if not profs:
         lines.append("(no engine profiles: the runs used the legacy engine)")
         return "\n".join(lines)
-    header = (f"{'app':<12} {'system':<14} {'engine':<15} {'promo':<8} "
-              f"{'refs':>9} {'fast':>9} {'promoted':>9} {'demoted':>8} "
+    header = (f"{'app':<12} {'system':<14} {'engine':<15} "
+              f"{'refs':>9} {'fast':>9} {'demoted':>8} "
               f"{'residual':>9} {'wall_s':>8} {'rss_mb':>7} {'strm_mb':>8}")
     lines += [header, "-" * len(header)]
-    totals = {"references": 0, "fast": 0, "promoted": 0, "demoted": 0,
+    totals = {"references": 0, "fast": 0, "demoted": 0,
               "residual": 0, "wall_s": 0.0}
     peak_rss_kb = 0
     streamed = 0
@@ -317,8 +305,7 @@ def _render_profile(runner: SweepRunner, rs: ResultSet) -> str:
         run_streamed = int(prof.get("bytes_streamed") or 0)
         lines.append(
             f"{app:<12} {system_name:<14} {_engine_label(prof):<15} "
-            f"{_promo_label(prof):<8} {prof['references']:>9} "
-            f"{prof['fast']:>9} {prof['promoted']:>9} {prof['demoted']:>8} "
+            f"{prof['references']:>9} {prof['fast']:>9} {prof['demoted']:>8} "
             f"{prof['residual']:>9} {prof['wall_s']:>8.3f} "
             f"{rss_kb / 1024:>7.1f} {run_streamed / (1 << 20):>8.1f}")
         for k in totals:
@@ -329,8 +316,8 @@ def _render_profile(runner: SweepRunner, rs: ResultSet) -> str:
         if reason:
             fallbacks.append(f"  {app}/{system_name}: {reason}")
     lines.append(
-        f"{'total':<12} {'':<14} {'':<15} {'':<8} {totals['references']:>9} "
-        f"{totals['fast']:>9} {totals['promoted']:>9} {totals['demoted']:>8} "
+        f"{'total':<12} {'':<14} {'':<15} {totals['references']:>9} "
+        f"{totals['fast']:>9} {totals['demoted']:>8} "
         f"{totals['residual']:>9} {totals['wall_s']:>8.3f} "
         f"{peak_rss_kb / 1024:>7.1f} {streamed / (1 << 20):>8.1f}")
     if fallbacks:
@@ -773,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--jobs", "-j", type=int, default=None,
                        help="worker processes (default: REPRO_JOBS or 1)")
     exp_p.add_argument("--engine", choices=ENGINE_NAMES, default=None,
-                       help="simulation engine (default: batched)")
+                       help="simulation engine (default: kernel)")
     exp_p.add_argument("--journal", type=str, default=None,
                        help="checkpoint completed runs to this JSONL file")
     exp_p.add_argument("--resume", action="store_true",
@@ -805,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also render an ASCII bar chart")
     exp_p.add_argument("--profile", action="store_true",
                        help="print the engine's per-lane breakdown (fast/"
-                            "promoted/demoted/residual reference counts and "
-                            "wall time) plus the runner's cache counters")
+                            "demoted/residual reference counts and wall "
+                            "time) plus the runner's cache counters")
 
     for name in ("figure5", "figure6", "figure7", "figure8",
                  "table1", "table2", "table3", "table4"):
@@ -923,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--jobs", "-j", type=int, default=None,
                          help="worker processes (default: REPRO_JOBS or 1)")
     serve_p.add_argument("--engine", choices=ENGINE_NAMES, default=None,
-                         help="simulation engine (default: batched)")
+                         help="simulation engine (default: kernel)")
     serve_p.add_argument("--retries", type=int, default=None,
                          help="retry budget per run (default: REPRO_RETRIES "
                               "or 3)")

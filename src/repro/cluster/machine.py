@@ -6,14 +6,16 @@ configuration (:class:`repro.core.factory.SystemSpec`), and drives a
 workload trace through one of the execution engines in
 :mod:`repro.engine`:
 
-* ``batched`` (the default) — the two-tier engine: guaranteed L1 hits are
-  classified per phase with vectorised numpy passes and resolved in bulk,
-  and only the residual references (possible hits, upgrades, misses) are
+* ``kernel`` (the default) — the batched engine's residual walk compiled
+  to C; runs it cannot take fall back to ``batched``;
+* ``batched`` — the two-tier engine: guaranteed L1 hits are classified
+  per phase with vectorised numpy passes and resolved in bulk, and only
+  the residual references (possible hits, upgrades, misses) are
   interpreted through the protocol machinery;
 * ``legacy`` — the original reference interpreter, one Python-level step
   per reference.
 
-Both engines implement the same timing model (see DESIGN.md, "Timing
+All engines implement the same timing model (see DESIGN.md, "Timing
 model") and produce bit-identical statistics and execution times;
 normalising two runs of the same trace under different systems against
 each other reproduces the paper's "normalized execution time" metric.
@@ -131,7 +133,7 @@ class Machine:
         trace's processor count must not exceed the machine's.
 
         ``engine`` selects the execution engine (one of
-        :data:`repro.engine.ENGINE_NAMES`); the default is the batched
+        :data:`repro.engine.ENGINE_NAMES`); the default is the kernel
         engine, overridable globally with the ``REPRO_ENGINE`` environment
         variable.  All engines produce bit-identical statistics.
         """

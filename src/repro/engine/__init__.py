@@ -10,8 +10,8 @@ defines *how* the reference stream is executed:
     The two-tier engine (:mod:`repro.engine.batched`): a vectorised numpy
     fast path resolves guaranteed L1 hits in bulk, and only the residual
     stream (possible hits, upgrades, misses) is interpreted, through the
-    unchanged protocol machinery.  Statistics and execution times are
-    bit-identical to the interpreter; the default engine.
+    unchanged protocol machinery; the kernel's pure-Python fallback.
+    Statistics and execution times are bit-identical to the interpreter.
 ``kernel``
     The compiled residual kernel (:mod:`repro.engine.kernel`): the
     batched engine's residual walk transcribed to flat arrays in C
@@ -22,7 +22,7 @@ defines *how* the reference stream is executed:
     and every run on a host with no working C compiler, transparently
     fall back to ``batched`` for the run, recording the reason in
     ``engine_profile``.  Results are bit-identical to both other
-    engines.
+    engines; the default engine.
 
 Select an engine per run (``machine.run(trace, engine="legacy")``) or
 globally through the ``REPRO_ENGINE`` environment variable.
@@ -53,7 +53,7 @@ _RUNNERS = {
 def default_engine() -> str:
     """The engine used when none is requested explicitly."""
     name = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-    return name if name in _RUNNERS else "batched"
+    return name if name in _RUNNERS else "kernel"
 
 
 def resolve_engine(engine: Optional[str] = None):

@@ -5,9 +5,12 @@ walks allocate large bursts of small tuples that survive exactly one
 phase — the worst case for generational collection) and arm the L1
 caches' ``watch``/``fill_watch`` hooks so out-of-band line drops and
 fills during protocol calls demote the engine's pre-classified fast
-references.  Neither effect may outlive the run: a leaked GC pause slows
-everything after the run, and leaked hooks corrupt the next engine (or
-user code) touching the same caches.
+references.  A hook records the (processor, cache set) it dropped or
+filled in the engine's ``events`` dict (``True`` for a whole-cache
+drop); the classifier's occupancy proof is per set, so only that set's
+pending fast references are demoted.  Neither effect may outlive the run: a leaked
+GC pause slows everything after the run, and leaked hooks corrupt the
+next engine (or user code) touching the same caches.
 
 :func:`engine_run_guard` owns that save/arm/restore dance in one place so
 an exception anywhere in an engine's phase loop cannot leak either
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class KernelBackendError(RuntimeError):
@@ -63,25 +66,38 @@ def backend_crash_guard(backend: str) -> Iterator[None]:
         raise KernelBackendError(backend, exc) from exc
 
 
+def _mk_watch(events: dict, p: int, nl: int) -> Callable[[int], None]:
+    """Cache ``p``'s hook: record the flushed set ``block % nl`` (or all)."""
+    def _watch(block: int = -1) -> None:
+        flushed = events.get(p)
+        if flushed is True:
+            return
+        if block < 0:
+            events[p] = True
+        elif flushed is None:
+            events[p] = {block % nl}
+        else:
+            flushed.add(block % nl)
+    return _watch
+
+
 @contextmanager
-def engine_run_guard(caches: Sequence,
-                     hooks: Sequence[Optional[Callable[[int], None]]],
-                     ) -> Iterator[None]:
+def engine_run_guard(caches: Sequence, events: dict) -> Iterator[None]:
     """Pause the GC and arm per-cache shootdown hooks for one engine run.
 
-    ``hooks`` provides, per cache, the callable to install as both
-    ``watch`` and ``fill_watch`` (``None`` leaves that cache's hooks
-    untouched).  On exit — normal or exceptional — the original hooks are
-    restored and the GC is re-enabled iff it was enabled on entry.
+    Cache ``p``'s ``watch`` and ``fill_watch`` hooks record into
+    ``events[p]`` (see the module docstring).  On exit — normal or
+    exceptional — the original hooks are restored and the GC is
+    re-enabled iff it was enabled on entry.
     """
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     saved = [(c.watch, c.fill_watch) for c in caches]
-    for c, hook in zip(caches, hooks):
-        if hook is not None:
-            c.watch = hook
-            c.fill_watch = hook
+    for p, c in enumerate(caches):
+        hook = _mk_watch(events, p, c.num_lines)
+        c.watch = hook
+        c.fill_watch = hook
     try:
         yield
     finally:

@@ -29,35 +29,17 @@ replication, relocation and collapse flush L1 lines from outside the
 reference stream); the engine arms the caches' ``watch`` hooks (and the
 mirror-image ``fill_watch`` hooks, which catch out-of-band L1 *fills* by
 exotic protocol code) and, when one fires during a protocol call, demotes
-every not-yet-consumed fast reference that is ordered after the current
-one to the probe class.  Demotion operates on the
-:class:`~repro.engine.classify.ResidualSchedule`'s flat per-processor
-slot arrays: a previously *promoted* residual reference is re-demoted
-with an O(1) mask flip (it never left the walk order), while
-statically-fast references join per-processor demoted queues that the
-walk merges by interleave position — no global re-sort.  Demotions are
-exact: a demoted reference takes the ordinary probe path, and fast
-references ordered *before* the shootdown were unaffected by it (a fast
-reference performs no state mutation that later references could
+every not-yet-consumed fast reference of the flushed cache sets that is
+ordered after the current one to the probe class.  Demotion operates on
+the :class:`~repro.engine.classify.ResidualSchedule`'s flat
+per-processor slot arrays: a first touch that the live cache state
+proved fast is re-demoted with an O(1) mask flip (it never left the walk
+order), while statically-fast references join per-processor demoted
+queues that the walk merges by interleave position — no global re-sort.
+Demotions are exact: a demoted reference takes the ordinary probe path,
+and fast references ordered *before* the shootdown were unaffected by it
+(a fast reference performs no state mutation that later references could
 observe).
-
-The mirror image of demotion is dynamic **promotion**: every resolved
-residual reference to block ``B`` (miss fill, probe hit, upgrade) leaves
-the processor's L1 line holding a fresh copy of ``B``, so the pending
-references to ``B`` that follow it — the tail of a post-fill run, or a
-demoted run being re-validated after a shootdown — are guaranteed hits
-up to the first hazard.  The engine promotes them into the closed-form
-fast class with O(1) mask flips, bounded exactly by the schedule's
-per-set pressure proofs and last-write positions (see
-:mod:`repro.engine.classify`, "Dynamic promotion").  Runs of writes to
-an owned-dirty line promote too (the interpreter's ``WRITE_HIT_OWNED``
-is a plain hit with no directory action).  By default the lane is
-**adaptive**: each phase enables it iff the static classifier's residual
-density is below :data:`PROMOTION_DENSITY_THRESHOLD` — low density means
-long provable runs whose tails the scan harvests, high (miss-dense)
-density means the scan is pure overhead.  ``REPRO_PROMOTION`` remains
-the hard override (``0`` always off, ``1`` always on); the results are
-bit-identical in every mode.
 
 The engine reproduces the reference interpreter bit for bit — every
 counter, stall category, clock and message statistic; the equivalence
@@ -67,7 +49,6 @@ every buildable system.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -81,9 +62,7 @@ from repro.core.protocol import (
     _DEPARTED_INVALIDATED,
 )
 from repro.engine._guard import engine_run_guard
-from repro.engine.classify import (
-    CLS_FAST, CLS_PROBE, NO_INDEX, classify_phase, static_residual_density,
-)
+from repro.engine.classify import CLS_FAST, CLS_PROBE, classify_phase
 from repro.interconnect.message import MessageType
 from repro.mem.page_table import LOCAL_HOME_CODE, MODES_BY_CODE
 from repro.stats.counters import MachineStats
@@ -91,33 +70,6 @@ from repro.stats.timing import StallKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
-
-#: Environment variable overriding the promotion lane: ``0``/``off``/
-#: ``no``/``false`` disables it for every phase, ``1``/``on``/``yes``/
-#: ``true`` enables it for every phase, and unset (or ``adaptive``)
-#: lets the engine decide per phase from the classifier's residual
-#: density.  Promotion is a pure optimisation — results are
-#: bit-identical in every mode — so the override exists for
-#: benchmarking and for bisecting the engine.
-PROMOTION_ENV_VAR = "REPRO_PROMOTION"
-
-#: Adaptive mode enables the promotion lane for a phase iff the static
-#: classifier leaves less than this fraction of its references residual.
-#: Low density means long statically-proven runs — the structure whose
-#: tails the promotion scan harvests; high (miss-dense) density means
-#: few promotable tails, so the per-residual scan is pure overhead.
-PROMOTION_DENSITY_THRESHOLD = 0.2
-
-
-def promotion_mode() -> str:
-    """The promotion lane mode: ``"on"``, ``"off"`` or ``"adaptive"``."""
-    raw = os.environ.get(PROMOTION_ENV_VAR, "").strip().lower()
-    if raw in ("0", "off", "no", "false"):
-        return "off"
-    if raw in ("1", "on", "yes", "true"):
-        return "on"
-    return "adaptive"
-
 
 def run_batched(machine: "Machine", trace) -> MachineStats:
     """Run ``trace`` on ``machine`` with the two-tier batched engine."""
@@ -235,39 +187,14 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
     bus_txn = [0] * num_nodes
     bus_wait = [0] * num_nodes
 
-    # arm the shootdown watch: a page operation invalidating an L1 line
-    # records the affected (processor, cache set) in `events`, which
-    # demotes the pending fast refs of exactly that set — the classifier's
-    # occupancy proof is per set, so other sets' proofs survive the
-    # shootdown.  A whole-cache drop (clear) records True.  The fill
-    # watch is the mirror hook: an out-of-band L1 *fill* by protocol code
-    # (no in-tree protocol performs one, but user protocols may) evicts
-    # whatever the classifier assumed resident in that set, so it demotes
-    # exactly like a shootdown.
+    # shootdown records, filled by engine_run_guard's cache hooks
     events: dict = {}
-
-    def _mk_watch(p: int, nl: int):
-        def _watch(block: int = -1) -> None:
-            flushed = events.get(p)
-            if flushed is True:
-                return
-            if block < 0:
-                events[p] = True
-            elif flushed is None:
-                events[p] = {block % nl}
-            else:
-                flushed.add(block % nl)
-        return _watch
 
     clocks = [machine.timing.processors[p].clock for p in range(num_procs)]
 
-    # dynamic promotion lane switch + per-lane profile accumulators
-    promo_mode = promotion_mode()
-    promo_enabled = promo_mode == "on"   # refined per phase when adaptive
-    phase_promotions: list = []
+    # per-lane profile accumulators
     prof_total = 0
     prof_residual = 0
-    prof_promoted = 0
     prof_demoted = 0
     run_t0 = perf_counter()
 
@@ -277,8 +204,7 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
     # nothing the engine allocates forms cycles, so the pause only defers
     # collection) and arms the shootdown watch hooks, restoring both on
     # exit even when a phase raises.
-    with engine_run_guard(caches,
-                          [_mk_watch(p, lines_of[p]) for p in range(num_procs)]):
+    with engine_run_guard(caches, events):
         page_tables = machine.page_tables
         for phase in trace.phases:
             blocks_np = phase.blocks    # normalized int64 arrays (PhaseTrace)
@@ -310,39 +236,16 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                 for pt_obj in page_tables:
                     pt_obj.reserve(max_page + 1)
 
-            if promo_mode == "adaptive":
-                # per-phase decision: harvestable run structure shows up
-                # as low static residual density (the codes are shared
-                # with the classify_phase call below, so deciding is
-                # nearly free)
-                density = static_residual_density(blocks_np, writes_np,
-                                                  caches, phase=phase)
-                promo_enabled = density < PROMOTION_DENSITY_THRESHOLD
-                phase_promotions.append(
-                    {"promotion": promo_enabled,
-                     "residual_density": round(density, 4)})
-            else:
-                phase_promotions.append({"promotion": promo_enabled})
-
             cls, sched = classify_phase(blocks_np, writes_np, caches,
-                                        version_of,
-                                        build_promotion=promo_enabled,
-                                        phase=phase)
+                                        version_of, phase=phase)
             entries = sched.entries
             keys = sched.keys
             n_sched = len(entries)
             status = sched.status
-            s_idx = sched.idx
-            s_wrt = sched.wrt
-            s_pw = sched.pw
-            s_prevc = sched.prev_conflict
-            s_next = sched.next_same_block
             slot_of = sched.slot_of
-            pw_full = sched.pw_full
             prof_total += sum(lengths)
 
             ptr = [0] * num_procs            # next own index not yet accounted
-            next_slot = [0] * num_procs      # next schedule slot per proc
             fast_total = [0] * num_procs     # fast references consumed
             hits_rt = [0] * num_procs        # runtime read/owned probe hits
             upg_rt = [0] * num_procs         # runtime shared-write probe hits
@@ -358,14 +261,10 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
             acc_contention = [0] * num_procs
 
             # demoted statically-fast references: per-proc parallel queues
-            # (own index, block, last-write position, promoted?), merged
-            # into the walk by interleave key via `next_dem`
+            # (own index, block), merged into the walk by interleave key
             q_idx: list = [[] for _ in range(num_procs)]
             q_blk: list = [[] for _ in range(num_procs)]
-            q_pw: list = [[] for _ in range(num_procs)]
-            q_skip: list = [[] for _ in range(num_procs)]
             q_cur = [0] * num_procs
-            q_has = [False] * num_procs   # unconsumed queue entries exist
             # heap of (interleave key, proc) queue heads, invalidated
             # lazily: an entry is live only while it matches the proc's
             # current head, so stale keys pushed before a merge or an
@@ -379,14 +278,11 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                 Called only when a ``watch``/``fill_watch`` hook fired
                 during a protocol call (rare), so the closure-call cost is
                 off the hot path.  Affected processors' fast references
-                ordered after (i, p) become probes again: previously
-                *promoted* schedule slots are re-demoted with an O(1)
-                status-mask flip (they never left the walk order), while
-                statically-fast references join the per-proc demoted
-                queues; earlier queue promotions ordered after the
-                shootdown are likewise un-done, and the promotion scan
-                pointers restart (their proofs assumed the old line
-                state).
+                of the flushed sets ordered after (i, p) become probes
+                again: first-touch schedule slots are re-demoted with an
+                O(1) status-mask flip (they never left the walk order),
+                while statically-fast references join the per-proc
+                demoted queues.
                 """
                 nonlocal prof_demoted
                 for p2, flushed in events.items():
@@ -404,114 +300,33 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                         mask &= np.isin(seg_lines,
                                         np.fromiter(flushed, dtype=np.int64))
                     pend = np.flatnonzero(mask)
-                    if len(pend):
-                        seg[pend] = CLS_PROBE
-                        prof_demoted += len(pend)
-                        own = pend.astype(np.int64) + bound
-                        slots = slot_of[p2][own]
-                        in_sched = slots >= 0
-                        st = status[p2]
-                        for s2 in slots[in_sched].tolist():
-                            st[s2] = 0       # re-demotion: O(1) mask flip
-                        fresh = own[~in_sched]
-                        if len(fresh):
-                            idxs = fresh.tolist()
-                            blks = blocks_np[p2][fresh].tolist()
-                            pws = pw_full[p2][fresh].tolist()
-                            c = q_cur[p2]
-                            qi = q_idx[p2]
-                            if c < len(qi):
-                                # merge with the unconsumed queue tail
-                                merged = sorted(
-                                    list(zip(qi[c:], q_blk[p2][c:],
-                                             q_pw[p2][c:], q_skip[p2][c:]))
-                                    + list(zip(idxs, blks, pws,
-                                               [0] * len(idxs))))
-                                q_idx[p2] = [e[0] for e in merged]
-                                q_blk[p2] = [e[1] for e in merged]
-                                q_pw[p2] = [e[2] for e in merged]
-                                q_skip[p2] = [e[3] for e in merged]
-                            else:
-                                q_idx[p2] = idxs
-                                q_blk[p2] = blks
-                                q_pw[p2] = pws
-                                q_skip[p2] = [0] * len(idxs)
-                            q_cur[p2] = 0
-                    # the shootdown invalidates promotions ordered after it
-                    qs = q_skip[p2]
-                    qi = q_idx[p2]
-                    for c2 in range(q_cur[p2], len(qi)):
-                        if qi[c2] >= bound:
-                            qs[c2] = 0
-                    if q_cur[p2] < len(qi):
-                        q_has[p2] = True
-                        heappush(dem_heap,
-                                 (qi[q_cur[p2]] * num_procs + p2, p2))
+                    if not len(pend):
+                        continue
+                    seg[pend] = CLS_PROBE
+                    prof_demoted += len(pend)
+                    own = pend.astype(np.int64) + bound
+                    slots = slot_of[p2][own]
+                    in_sched = slots >= 0
+                    st = status[p2]
+                    for s2 in slots[in_sched].tolist():
+                        st[s2] = 0       # re-demotion: O(1) mask flip
+                    fresh = own[~in_sched]
+                    if not len(fresh):
+                        continue
+                    idxs = fresh.tolist()
+                    blks = blocks_np[p2][fresh].tolist()
+                    c = q_cur[p2]
+                    if c < len(q_idx[p2]):
+                        # merge with the unconsumed queue tail
+                        merged = sorted(zip(q_idx[p2][c:] + idxs,
+                                            q_blk[p2][c:] + blks))
+                        idxs = [e[0] for e in merged]
+                        blks = [e[1] for e in merged]
+                    q_idx[p2] = idxs
+                    q_blk[p2] = blks
+                    q_cur[p2] = 0
+                    heappush(dem_heap, (idxs[0] * num_procs + p2, p2))
                 events.clear()
-
-            def _promote(p: int, slot: int, i: int, g: int, block: int,
-                         dirty: bool) -> None:
-                """Promote pending same-block refs after a resolved ref.
-
-                The line of processor ``p`` holding ``block`` is fresh at
-                interleave position ``g`` (``dirty`` gives its runtime
-                dirty bit).  Pending schedule slots on the block's
-                ``next_same_block`` chain promote while their pressure
-                proof stays behind ``i`` and their last write stays
-                behind the write watermark (own promoted owned-writes
-                advance it); the demoted queue's contiguous same-block
-                head promotes under the same freshness rule, bounded by
-                the next schedule entry.  Each promotion is one status
-                byte flip.
-                """
-                nonlocal prof_promoted
-                wm = g
-                sidx = s_idx[p]
-                if slot >= 0:
-                    nsb = s_next[p]
-                    t = nsb[slot]
-                    if t >= 0:
-                        st = status[p]
-                        spw = s_pw[p]
-                        sprevc = s_prevc[p]
-                        swrt = s_wrt[p]
-                        cls_p = cls[p]
-                        while t >= 0:
-                            if st[t]:
-                                t = nsb[t]
-                                continue
-                            if sprevc[t] >= i or spw[t] > wm:
-                                break    # eviction pressure / foreign write
-                            if swrt[t]:
-                                if not dirty:
-                                    break    # shared write: upgrade path
-                                wm = sidx[t] * num_procs + p
-                            st[t] = 1
-                            cls_p[sidx[t]] = CLS_FAST
-                            prof_promoted += 1
-                            t = nsb[t]
-                c = q_cur[p]
-                qi = q_idx[p]
-                n_q = len(qi)
-                if c < n_q:
-                    ns = next_slot[p]
-                    i_next = sidx[ns] if ns < len(sidx) else NO_INDEX
-                    qb = q_blk[p]
-                    qp = q_pw[p]
-                    qs = q_skip[p]
-                    while c < n_q:
-                        if qs[c]:
-                            c += 1
-                            continue
-                        j = qi[c]
-                        if j <= i:
-                            c += 1
-                            continue
-                        if j >= i_next or qb[c] != block or qp[c] > wm:
-                            break
-                        qs[c] = 1
-                        prof_promoted += 1
-                        c += 1
 
             while True:
                 nk = -1
@@ -530,46 +345,20 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                 if nk >= 0 and (k >= n_sched or nk < keys[k]):
                     # earliest pending reference is a demoted one
                     heappop(dem_heap)
-                    qs = q_skip[pq]
-                    if qs[c]:
-                        # promoted back: bulk-consume the contiguous
-                        # promoted run while it stays globally earliest
-                        # (no schedule entry or other queue head — and
-                        # hence no shootdown — can intervene before it)
-                        stop = keys[k] if k < n_sched else NO_INDEX
-                        if dem_heap and dem_heap[0][0] < stop:
-                            stop = dem_heap[0][0]
-                        c += 1
-                        n_q2 = len(qi)
-                        while (c < n_q2 and qs[c]
-                               and qi[c] * num_procs + pq < stop):
-                            c += 1
-                        q_cur[pq] = c
-                        if c < n_q2:
-                            heappush(dem_heap,
-                                     (qi[c] * num_procs + pq, pq))
-                        else:
-                            q_has[pq] = False
-                        continue
                     q_cur[pq] = c + 1
                     if c + 1 < len(qi):
                         heappush(dem_heap,
                                  (qi[c + 1] * num_procs + pq, pq))
-                    else:
-                        q_has[pq] = False
                     p = pq
                     i = qi[c]
                     block = q_blk[pq][c]
                     probe = True
                     is_write = False
-                    slot = -1
-                    chain = False
                 elif k < n_sched:
-                    i, p, probe, block, is_write, slot, chain = entries[k]
+                    i, p, probe, block, is_write, slot = entries[k]
                     k += 1
-                    next_slot[p] = slot + 1
                     if status[p][slot]:
-                        continue     # promoted: bulk-consumed via ptr
+                        continue     # proven-fast first touch: via ptr
                 else:
                     break
                 prof_residual += 1
@@ -595,23 +384,11 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                         if not is_write:
                             hits_rt[p] += 1
                             clocks[p] = clock + l1_hit_cost
-                            if promo_enabled and (
-                                    chain or (q_has[p]
-                                              and q_blk[p][q_cur[p]]
-                                              == block)):
-                                _promote(p, slot, i, i * num_procs + p,
-                                         block, line_dirty[p][idx])
                             continue
                         cd = line_dirty[p]
                         if cd[idx]:
                             hits_rt[p] += 1
                             clocks[p] = clock + l1_hit_cost
-                            if promo_enabled and (
-                                    chain or (q_has[p]
-                                              and q_blk[p][q_cur[p]]
-                                              == block)):
-                                _promote(p, slot, i, i * num_procs + p,
-                                         block, True)
                             continue
                         # write upgrade: invalidate other sharers
                         upg_rt[p] += 1
@@ -712,12 +489,6 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                         clocks[p] = clock + wait + latency
                         if events:
                             demote_pending(i, p)
-                        if promo_enabled and (
-                                chain or (q_has[p]
-                                          and q_blk[p][q_cur[p]]
-                                          == block)):
-                            _promote(p, slot, i, i * num_procs + p, block,
-                                     True)
                         continue
                     # stale copy: drop it so the fill below refreshes it
                     cb[idx] = -1
@@ -827,12 +598,6 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                             acc_contention[p] += wait
                             acc_local[p] += service
                             clocks[p] = clock + wait + service
-                            if promo_enabled and (
-                                    chain or (q_has[p]
-                                              and q_blk[p][q_cur[p]]
-                                              == block)):
-                                _promote(p, slot, i, i * num_procs + p,
-                                         block, is_write)
                             continue
                         elif inline_bc_remote:
                             # ---- fully inlined CC-NUMA remote lane ----
@@ -1059,10 +824,6 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
                 acc_pageop[p] += pageop
                 acc_fault[p] += fault
                 clocks[p] = clock + wait + service + pageop + fault
-                if promo_enabled and (chain
-                                      or (q_has[p]
-                                          and q_blk[p][q_cur[p]] == block)):
-                    _promote(p, slot, i, i * num_procs + p, block, is_write)
 
             # consume the trailing guaranteed hits of every processor
             for p in range(num_procs):
@@ -1119,12 +880,8 @@ def run_batched(machine: "Machine", trace) -> MachineStats:
     machine.stats.stall_breakdown = dict(machine.timing.aggregate_stalls())
     machine.stats.engine_profile = {
         "engine": "batched",
-        "promotion_mode": promo_mode,
-        "promotion_enabled": any(d["promotion"] for d in phase_promotions),
-        "phase_promotions": phase_promotions,
         "references": prof_total,
         "fast": prof_total - prof_residual,
-        "promoted": prof_promoted,
         "demoted": prof_demoted,
         "residual": prof_residual,
         "phases": len(trace.phases),

@@ -49,46 +49,6 @@ lazy-invalidation model:
 The interleaving order used for "since the previous own reference" is the
 interpreter's round-robin order: reference ``i`` of processor ``p`` has
 global position ``i * num_procs + p``.
-
-Dynamic promotion (pressure proofs)
------------------------------------
-The classification above is *static*: it throws away everything it cannot
-prove before the phase runs.  The engine recovers part of that loss
-dynamically — after a residual reference to block ``B`` by processor
-``p`` resolves (miss fill, probe hit, upgrade), every later pending
-reference of ``p`` to ``B`` is a guaranteed hit *up to the first hazard*,
-and the engine **promotes** it into the closed-form fast class.  The
-:class:`ResidualSchedule` built here carries the per-entry facts that
-make each promotion an O(1) mask flip plus two integer comparisons:
-
-``pw``
-    The interleave position of the last write to the entry's block
-    strictly before it (static, conservative: every write counts, even
-    ones that at runtime hit an owned-dirty line and bump no version).
-    A pending read of ``B`` at position ``j`` is fresh after a trigger at
-    position ``g`` iff ``pw[j] <= g`` — no write to ``B``, by anyone,
-    separates it from the trigger.  ``pw`` is monotone per block, so the
-    first failing candidate ends the scan for good.  A pending *write*
-    is promotable only while the line is known dirty (then it is the
-    interpreter's ``WRITE_HIT_OWNED`` — a plain hit with no directory
-    action); promoting it advances the write watermark so the rest of
-    the run stays provably fresh.
-``prev_conflict``
-    The *pressure proof*: the own-stream index of the last residual
-    reference before this one that maps to the same L1 set with a
-    different block.  A candidate at index ``j`` is eviction-safe from a
-    trigger at index ``i`` iff ``prev_conflict[j] < i`` — no residual
-    conflict lands in ``(i, j)``, and no *fast* (or demoted-fast)
-    reference can conflict either: a statically-fast reference to set
-    ``S`` always references the block occupying ``S``, which the chain
-    of promotions keeps equal to ``B`` throughout the window.  Promotion
-    therefore stops exactly where an intervening conflict could evict
-    the line.
-
-Promotion never changes semantics: a promoted reference resolves to the
-same hit, with the same counters, that the interpreter's probe would
-produce — the equivalence suite asserts this bit for bit with promotion
-enabled and disabled.
 """
 
 from __future__ import annotations
@@ -103,93 +63,35 @@ CLS_MISS = 0
 CLS_FAST = 1
 CLS_PROBE = 2
 
-#: Sentinel "no index" value used in the schedule arrays.
-NO_INDEX = 1 << 62
-
 
 class ResidualSchedule:
-    """One phase's residual references, organised for O(1) promotion.
+    """One phase's residual references, in the walk's order.
 
     The walk order is the pre-merged ``entries`` list — ``(round, proc,
-    probe?, block, is_write, slot, chain?)`` tuples in the reference
-    interpreter's round-robin order (``chain?`` is the promotion gate:
-    whether the entry has a live same-block successor), with ``keys``
-    carrying each entry's interleave position for cheap merging against
-    demoted references.  Per processor, flat slot-indexed arrays
-    describe the same entries:
+    probe?, block, is_write, slot)`` tuples in the reference
+    interpreter's round-robin order — with ``keys`` carrying each
+    entry's interleave position for cheap merging against demoted
+    references.  Per processor:
 
-    ``idx[p][s]``
-        Own-stream index of slot ``s`` (ascending).
-    ``wrt[p][s]``
-        Write flag per slot.
-    ``pw[p][s]``
-        Interleave position of the last write to the slot's block
-        strictly before it (or -1).
-    ``prev_conflict[p][s]``
-        Own-stream index of the last earlier residual reference mapping
-        to the same L1 set with a *different* block (or -1) — the
-        pressure proof bounding how far a promotion may reach.
     ``status[p]``
-        The promotion mask: ``status[p][s]`` is 1 when slot ``s`` has
-        been promoted to the fast class (the walk skips it), 0 while it
-        is pending.  Promotion sets the byte, demotion clears it — both
-        O(1).
-    ``next_same_block[p][s]``
-        Slot of the next residual reference to the same block (-1 at the
-        end of the chain): the promotion candidates reachable from a
-        resolved slot, followed without any lookup structure.
-    ``slot_of[p] / pw_full[p]``
-        Full own-stream arrays: the slot holding each reference (-1 for
-        statically-fast ones) and every reference's last-write position
-        — used when a shootdown demotes statically-fast references.
-
-    The per-slot promotion facts (``pw``, ``prev_conflict``,
-    ``next_same_block`` and the ``idx``/``wrt`` mirrors) are only built
-    when :func:`classify_phase` is called with ``build_promotion=True``;
-    ``status`` and ``slot_of`` are always present (demotion needs them
-    regardless).
+        The skip mask: ``status[p][s]`` is 1 when slot ``s`` (``p``'s
+        ``s``-th residual reference) is a phase-boundary first touch that
+        the live cache state proves fast, so the walk skips it; a
+        shootdown demotes it again by clearing the byte.
+    ``slot_of[p]``
+        The slot holding each of ``p``'s references (-1 for statically
+        fast ones): a shootdown demotes in-schedule references through
+        ``status`` and queues the statically-fast ones.
     """
 
-    __slots__ = ("entries", "keys", "idx", "wrt", "pw",
-                 "prev_conflict", "next_same_block", "status", "slot_of",
-                 "pw_full")
+    __slots__ = ("entries", "keys", "status", "slot_of")
 
     def __init__(self, num_procs: int) -> None:
         self.entries: list = []
         self.keys: List[int] = []
-        self.idx: List[List[int]] = [[] for _ in range(num_procs)]
-        self.wrt: List[List[bool]] = [[] for _ in range(num_procs)]
-        self.pw: List[List[int]] = [[] for _ in range(num_procs)]
-        self.prev_conflict: List[List[int]] = [[] for _ in range(num_procs)]
-        self.next_same_block: List[List[int]] = [
-            [] for _ in range(num_procs)]
         self.status: List[bytearray] = [bytearray() for _ in range(num_procs)]
         self.slot_of: List[np.ndarray] = [
             np.empty(0, dtype=np.int64) for _ in range(num_procs)]
-        self.pw_full: List[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(num_procs)]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    # -- small helpers (tests and non-inlined callers) ---------------------
-
-    def promote(self, p: int, slot: int) -> None:
-        """Mark slot ``slot`` of processor ``p`` promoted (walk skips it)."""
-        self.status[p][slot] = 1
-
-    def demote(self, p: int, slot: int) -> None:
-        """Clear a promotion (the walk will execute the slot again)."""
-        self.status[p][slot] = 0
-
-    def is_promoted(self, p: int, slot: int) -> bool:
-        """Whether slot ``slot`` of processor ``p`` is currently promoted."""
-        return bool(self.status[p][slot])
-
-    def pending(self, p: int) -> List[int]:
-        """Own-stream indices of processor ``p``'s unpromoted entries."""
-        return [i for s, i in enumerate(self.idx[p])
-                if not self.status[p][s]]
 
 
 class _StaticSchedule:
@@ -203,20 +105,18 @@ class _StaticSchedule:
     therefore these, alive across runs).  The one cache-state-dependent
     step — resolving the phase-boundary first touches against the live
     line state — happens per run in :func:`classify_phase`: first-touch
-    references are *statically* residual probes, and a run pre-promotes
-    the ones its cache state proves fast via the ordinary promotion mask.
+    references are *statically* residual probes, and a run marks the
+    ones its cache state proves fast in the ``status`` mask.
     """
 
-    __slots__ = ("out", "entries", "keys", "idx", "wrt", "pw", "prevc",
-                 "next_sb", "slot_of", "pw_full", "seg_counts",
+    __slots__ = ("out", "entries", "keys", "slot_of", "seg_counts",
                  "ft_prc", "ft_own", "ft_line", "ft_blk", "ft_wrt",
                  "ft_pw", "ft_slot")
 
 
 def _build_static(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
                   lens: Sequence[int], num_procs: int,
-                  num_lines: Sequence[int],
-                  build_promotion: bool) -> _StaticSchedule:
+                  num_lines: Sequence[int]) -> _StaticSchedule:
     """Build the stream-derived part of the classification (see above)."""
     total = sum(lens)
 
@@ -312,8 +212,8 @@ def _build_static(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
     # pass must not see.  First touches are therefore statically residual
     # probes (exact: the engine's probe path reproduces the reference
     # interpreter's probe for resident, stale and absent lines alike),
-    # and :func:`classify_phase` pre-promotes, per run, the ones the
-    # run's line state proves to be guaranteed hits.
+    # and :func:`classify_phase` marks fast, per run, the ones the run's
+    # line state proves to be guaranteed hits.
     st = _StaticSchedule()
     first_touch = np.ones(total, dtype=bool)
     first_touch[tgt] = False
@@ -328,135 +228,39 @@ def _build_static(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
 
     st.out = out
     res = np.flatnonzero(out != CLS_FAST)
-    n_res = len(res)
 
     # Per-proc slot numbers: slot s of proc p is p's s-th residual ref.
     # `res` is in flat (per-proc-concatenated) order, so each processor's
     # residual entries form one contiguous, own-order segment of it.
-    res_local = np.full(total, -1, dtype=np.int64)
-    res_local[res] = np.arange(n_res, dtype=np.int64)
     seg_counts = np.bincount(prc[res], minlength=num_procs)
-    seg_start = np.zeros(num_procs + 1, dtype=np.int64)
-    np.cumsum(seg_counts, out=seg_start[1:])
-    slot_global = res_local.copy()
-    slot_global[res] -= seg_start[prc[res]]
+    seg_start = np.cumsum(seg_counts) - seg_counts
+    slot_global = np.full(total, -1, dtype=np.int64)
+    slot_global[res] = (np.arange(len(res), dtype=np.int64)
+                        - seg_start[prc[res]])
     st.seg_counts = [int(c) for c in seg_counts]
     st.ft_slot = slot_global[ft_idx].tolist()
 
     st.slot_of = []
-    st.pw_full = []
     off = 0
-    for p, n in enumerate(lens):
+    for n in lens:
         st.slot_of.append(slot_global[off:off + n])
-        st.pw_full.append(pw[off:off + n])
         off += n
-
-    st.idx = [()] * num_procs
-    st.wrt = [()] * num_procs
-    st.pw = [()] * num_procs
-    st.prevc = [()] * num_procs
-    st.next_sb = [()] * num_procs
-    if build_promotion and n_res:
-        # -- pressure proofs: last same-set different-block residual
-        # reference before each slot.  The (proc, set) occupancy sort
-        # above already groups every reference by set in own order;
-        # restrict it to the residual entries, then let maximal same-set
-        # same-block runs inherit the own index of the entry just before
-        # their run head (the previous run's tail, a conflicting block)
-        # or -1 when the run opens its set.
-        ord_res = order[out[order] != CLS_FAST]
-        kk_r = key[ord_res]
-        br = blk[ord_res]
-        ir = own[ord_res]
-        head = np.ones(n_res, dtype=bool)
-        if n_res > 1:
-            head[1:] = ~((kk_r[1:] == kk_r[:-1]) & (br[1:] == br[:-1]))
-        run_id = np.cumsum(head) - 1
-        head_pos = np.flatnonzero(head)
-        head_pc = np.full(len(head_pos), -1, dtype=np.int64)
-        if len(head_pos) > 1:
-            hp = head_pos[1:]
-            same_set = kk_r[hp] == kk_r[hp - 1]
-            head_pc[1:][same_set] = ir[hp - 1][same_set]
-        prevc_all = np.empty(n_res, dtype=np.int64)
-        prevc_all[res_local[ord_res]] = head_pc[run_id]
-
-        # -- same-block chains: slot of the next residual reference by
-        # the same processor to the same block.  One stable sort by
-        # (block, proc) groups the residual entries with own order
-        # preserved; links are rebased to per-proc slot numbers.
-        key_b = blk[res] * num_procs + prc[res]
-        order_c = np.argsort(key_b, kind="stable")
-        nxt_all = np.full(n_res, -1, dtype=np.int64)
-        if n_res > 1:
-            kb = key_b[order_c]
-            same_b = kb[1:] == kb[:-1]
-            nxt_all[order_c[:-1][same_b]] = order_c[1:][same_b]
-
-        own_res = own[res]
-        wrt_res = wrt[res]
-        pw_res = pw[res]
-
-        # Prune chain links whose first candidate already fails the
-        # *static* promotion conditions: a conflict between the two
-        # references, or a write to the block after the link's source
-        # (both exact — the runtime scan's watermark never exceeds the
-        # source's position, so a statically-failing first candidate
-        # always ends the scan), plus write candidates hanging off read
-        # sources (promotable only when the line happens to be dirty;
-        # conservatively dropped so the per-resolution gate stays
-        # precise).  Dropping a link spares the engine a futile call;
-        # the candidate still resolves exactly when the walk reaches it.
-        src_l = np.flatnonzero(nxt_all >= 0)
-        if len(src_l):
-            tgt_l = nxt_all[src_l]
-            bad = ((prevc_all[tgt_l] >= own_res[src_l])
-                   | (pw_res[tgt_l] > gpos[res][src_l])
-                   | (wrt_res[tgt_l] & ~wrt_res[src_l]))
-            nxt_all[src_l[bad]] = -1
-
-        rebase = seg_start[prc[res]]
-        np.subtract(nxt_all, rebase, out=nxt_all, where=nxt_all >= 0)
-
-        # Scalar indexing of Python lists is several times cheaper than
-        # numpy scalar access, and the conversion cost amortizes to ~zero
-        # because this static build is cached per phase and reused by
-        # every later run of the trace in the process.
-        for p in range(num_procs):
-            s, e = int(seg_start[p]), int(seg_start[p + 1])
-            if s == e:
-                continue
-            st.idx[p] = own_res[s:e].tolist()
-            st.wrt[p] = wrt_res[s:e].tolist()
-            st.pw[p] = pw_res[s:e].tolist()
-            st.prevc[p] = prevc_all[s:e].tolist()
-            st.next_sb[p] = nxt_all[s:e].tolist()
 
     rsel = res[np.argsort(gpos[res])]      # interleave order
     st.keys = gpos[rsel].tolist()
-    # the 7th element is the promotion gate: whether this entry has a
-    # live same-block chain successor (checked once per walked
-    # reference, so it rides in the tuple instead of a per-slot lookup)
-    if build_promotion and n_res:
-        chain_live = np.zeros(total, dtype=bool)
-        chain_live[res] = nxt_all >= 0
-        chain_flags = chain_live[rsel].tolist()
-    else:
-        chain_flags = [False] * len(rsel)
     st.entries = list(zip((gpos[rsel] // num_procs).tolist(),
                           prc[rsel].tolist(),
                           (out[rsel] == CLS_PROBE).tolist(),
                           blk[rsel].tolist(),
                           wrt[rsel].tolist(),
-                          slot_global[rsel].tolist(),
-                          chain_flags))
+                          slot_global[rsel].tolist()))
     return st
 
 
 def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
                    caches: Sequence[object],
                    version_of: Callable[[int], int], *,
-                   build_promotion: bool = True, phase: object = None):
+                   phase: object = None):
     """Classify one phase's references for every processor.
 
     Parameters
@@ -468,9 +272,6 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
         in their *current* (phase-start) state.
     version_of:
         Directory version lookup (``block -> version``).
-    build_promotion:
-        Build the per-slot promotion facts (skipped when the engine runs
-        with the promotion lane disabled).
     phase:
         The owning :class:`~repro.workloads.trace.PhaseTrace` (or any
         object with a writable ``__dict__``).  When given, the
@@ -482,12 +283,10 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
     Returns ``(cls, schedule)``: one ``int8`` array of ``CLS_*`` codes per
     processor, and the residual walk schedule as a
     :class:`ResidualSchedule` — the non-``CLS_FAST`` references in the
-    reference interpreter's round-robin order (by round, then processor),
-    together with the per-slot promotion facts (last-write positions,
-    per-set pressure proofs, same-block chains) and the promotion mask.
+    reference interpreter's round-robin order (by round, then processor).
     Phase-boundary first touches that the current cache state proves to
-    be guaranteed hits come back pre-promoted (``CLS_FAST`` in ``cls``,
-    status bit set) rather than as a separate class.
+    be guaranteed hits come back ``CLS_FAST`` in ``cls`` with their
+    ``status`` byte set, rather than as a separate class.
     """
     num_procs = len(blocks)
     lens = [len(b) for b in blocks]
@@ -497,26 +296,18 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
                 ResidualSchedule(num_procs))
 
     num_lines = [c.num_lines for c in caches]
-    static = None
+    geom = tuple(num_lines)
     cache_map = None
-    ck = None
     if phase is not None:
-        ck = (tuple(num_lines), bool(build_promotion))
-        cache_map = getattr(phase, "__dict__", {}).get("_classify_static")
-        if cache_map is not None:
-            static = cache_map.get(ck)
+        try:
+            cache_map = phase.__dict__.setdefault("_classify_static", {})
+        except (AttributeError, TypeError):  # pragma: no cover
+            pass
+    static = cache_map.get(geom) if cache_map is not None else None
     if static is None:
-        static = _build_static(blocks, writes, lens, num_procs, num_lines,
-                               build_promotion)
-        if ck is not None:
-            if cache_map is None:
-                cache_map = {}
-                try:
-                    phase.__dict__["_classify_static"] = cache_map
-                except (AttributeError, TypeError):  # pragma: no cover
-                    cache_map = None
-            if cache_map is not None:
-                cache_map[ck] = static
+        static = _build_static(blocks, writes, lens, num_procs, num_lines)
+        if cache_map is not None:
+            cache_map[geom] = static
 
     # ---- per-run assembly: fresh mutable state over the shared facts -----
     out = static.out
@@ -528,21 +319,15 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
     schedule = ResidualSchedule(num_procs)
     schedule.entries = static.entries
     schedule.keys = static.keys
-    schedule.idx = static.idx
-    schedule.wrt = static.wrt
-    schedule.pw = static.pw
-    schedule.prev_conflict = static.prevc
-    schedule.next_same_block = static.next_sb
     schedule.slot_of = static.slot_of
-    schedule.pw_full = static.pw_full
     schedule.status = [bytearray(c) for c in static.seg_counts]
 
     # ---- first-touch resolution against the live cache state -------------
     # Few entries (at most one per processor cache line), so a plain
     # Python pass beats vectorising it.  A first touch is a guaranteed
     # hit iff it would read-hit now and no write to its block precedes it
-    # in the phase; those pre-promote through the ordinary mask (and can
-    # be demoted again by a mid-phase shootdown like any promoted slot).
+    # in the phase; those are marked in the status mask (and are demoted
+    # again by a mid-phase shootdown of their set).
     ft_prc = static.ft_prc
     if ft_prc:
         states = [c.line_state() for c in caches]
@@ -565,47 +350,3 @@ def classify_phase(blocks: Sequence[np.ndarray], writes: Sequence[np.ndarray],
                 status[p][ft_slot[k]] = 1
     return cls, schedule
 
-
-def static_residual_density(blocks: Sequence[np.ndarray],
-                            writes: Sequence[np.ndarray],
-                            caches: Sequence[object], *,
-                            phase: object = None) -> float:
-    """Fraction of the phase's references the static pass leaves residual.
-
-    The signal behind the batched engine's adaptive promotion switch: a
-    phase whose streams are mostly statically-provable hits (low density)
-    has long same-block runs for the promotion lane to harvest, while a
-    miss-dense phase (high density) only pays the lane's scan cost.  The
-    classification codes are identical in both promotion variants, so
-    this reuses whichever per-phase static is already cached and
-    otherwise builds — and caches — the promotion-free one, which a
-    following ``classify_phase(build_promotion=False)`` call then reuses
-    for free.
-    """
-    num_procs = len(blocks)
-    lens = [len(b) for b in blocks]
-    total = sum(lens)
-    if total == 0:
-        return 0.0
-    num_lines = [c.num_lines for c in caches]
-    geom = tuple(num_lines)
-    static = None
-    cache_map = None
-    if phase is not None:
-        cache_map = getattr(phase, "__dict__", {}).get("_classify_static")
-        if cache_map is not None:
-            static = cache_map.get((geom, False)) or cache_map.get(
-                (geom, True))
-    if static is None:
-        static = _build_static(blocks, writes, lens, num_procs, num_lines,
-                               False)
-        if phase is not None:
-            if cache_map is None:
-                cache_map = {}
-                try:
-                    phase.__dict__["_classify_static"] = cache_map
-                except (AttributeError, TypeError):  # pragma: no cover
-                    cache_map = None
-            if cache_map is not None:
-                cache_map[(geom, False)] = static
-    return int(np.count_nonzero(static.out != CLS_FAST)) / total

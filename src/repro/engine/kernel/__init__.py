@@ -2,8 +2,7 @@
 
 The kernel executes the batched engine's residual schedule against flat
 index-addressed array stores instead of Python objects: per phase it
-classifies with ``build_promotion=False`` (promotion is a pure
-optimisation — results are bit-identical either way), marshals the
+classifies the references (:mod:`repro.engine.classify`), marshals the
 simulator's stores into zero-copy numpy views
 (:mod:`repro.engine.kernel.state`) and hands the walk to its one
 compiled implementation, ``cwalk.c``, built on demand by
@@ -231,21 +230,8 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     pp = st.pp
     out = st.out
 
-    # page-operation shootdown watch — identical to the batched engine's
+    # page-operation shootdown records, filled by the guard's cache hooks
     events: dict = {}
-
-    def _mk_watch(p: int, nl: int):
-        def _watch(block: int = -1) -> None:
-            flushed = events.get(p)
-            if flushed is True:
-                return
-            if block < 0:
-                events[p] = True
-            elif flushed is None:
-                events[p] = {block % nl}
-            else:
-                flushed.add(block % nl)
-        return _watch
 
     prof_total = 0
     prof_demoted = 0
@@ -253,8 +239,7 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     bail_kinds = {name: 0 for name in BAIL_KIND_NAMES}
     run_t0 = perf_counter()
 
-    with engine_run_guard(caches,
-                          [_mk_watch(p, lines_of[p]) for p in range(P)]):
+    with engine_run_guard(caches, events):
         for phase in trace.phases:
             blocks_np = phase.blocks
             writes_np = phase.writes
@@ -274,8 +259,7 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
             st.reserve_for_phase(max_block)
 
             cls, sched = classify_phase(blocks_np, writes_np, caches,
-                                        version_of, build_promotion=False,
-                                        phase=phase)
+                                        version_of, phase=phase)
             n_sched = len(sched.entries)
             slot_of = sched.slot_of
             schedule = schedule_arrays(phase, sched, tuple(lines_of))
@@ -298,8 +282,8 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
 
                 The kernel port of the batched engine's demotion: the
                 affected processors' fast references ordered after
-                ``(i, p)`` become probes again — in-schedule (first-touch
-                promoted) slots via a status flip, statically-fast
+                ``(i, p)`` become probes again — proven-fast first-touch
+                slots via a status flip, statically-fast
                 references by joining the per-proc demoted queues the
                 walk merges by interleave key.  The queue arrays are
                 rebuilt, so the walk's re-entry sees the new heads.
@@ -328,9 +312,9 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                     own = pend.astype(np.int64) + bound
                     slots = slot_of[p2][own]
                     in_sched = slots >= 0
-                    promoted_slots = slots[in_sched]
-                    if len(promoted_slots):
-                        st.status[p2][promoted_slots] = 0
+                    sched_slots = slots[in_sched]
+                    if len(sched_slots):
+                        st.status[p2][sched_slots] = 0
                     fresh = own[~in_sched]
                     if len(fresh):
                         blks = blocks_np[p2][fresh].astype(np.int64,
@@ -486,11 +470,8 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     machine.stats.engine_profile = {
         "engine": "kernel",
         "backend": backend_name,
-        "promotion_mode": "off",
-        "promotion_enabled": False,
         "references": prof_total,
         "fast": prof_total - prof_residual,
-        "promoted": 0,
         "demoted": prof_demoted,
         "residual": prof_residual,
         "phases": len(trace.phases),

@@ -1,9 +1,8 @@
 /* The compiled residual kernel's walk.
  *
- * The residual walk of repro/engine/batched.py with the dynamic-promotion
- * lane removed (the kernel always runs promotion-off schedules; results
- * are bit-identical either way) and every Python object access replaced
- * by flat-array access on the views built by repro/engine/kernel/state.py.
+ * The residual walk of repro/engine/batched.py with every Python object
+ * access replaced by flat-array access on the views built by
+ * repro/engine/kernel/state.py.
  *
  * The walk returns RC_DONE when the phase's schedule and demoted queues
  * are drained, or bails with an RC_BAIL_* code, filling the `out` record,
@@ -265,7 +264,7 @@ int64_t repro_kernel_walk(
             slot = ent_slot[k];
             k += 1;
             if (status[p][slot])
-                continue;    /* first-touch promoted: consumed via ptr */
+                continue;    /* proven-fast first touch: consumed via ptr */
         } else {
             break;
         }

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.classify import NO_INDEX
 from repro.interconnect.message import MessageType
 from repro.kernel.faults import FaultKind
 from repro.mem.page_table import MODE_CODES, PageMode
@@ -156,7 +155,7 @@ def schedule_arrays(phase, sched, geom_key):
             return hit
     n = len(sched.entries)
     if n:
-        cols = np.array([e[:6] for e in sched.entries], dtype=np.int64)
+        cols = np.array(sched.entries, dtype=np.int64)
         arrs = (np.ascontiguousarray(cols[:, 0]),                  # i
                 np.ascontiguousarray(cols[:, 1]),                  # p
                 np.ascontiguousarray(cols[:, 2]).astype(np.uint8),  # probe
@@ -640,4 +639,4 @@ class KernelState:
             mut[MUT_CTR_RESETS] = 0
 
 
-__all__ = [*LAYOUT, "LAYOUT", "KernelState", "schedule_arrays", "NO_INDEX"]
+__all__ = [*LAYOUT, "LAYOUT", "KernelState", "schedule_arrays"]

@@ -69,6 +69,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 import time
 import weakref
 import zlib
@@ -286,6 +287,25 @@ def _peak_rss_kb() -> int:
     if sys.platform == "darwin":  # pragma: no cover - ru_maxrss in bytes
         peak //= 1024
     return int(peak)
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the worker's parent is gone.
+
+    A SIGKILLed sweep (or ``repro serve`` daemon) cannot shut its pool
+    down; without this its workers, and the resource tracker that waits
+    for them, would live on reparented to init.  A daemon thread polls
+    the parent pid about once a second and exits when it changes.
+    """
+    parent_pid = os.getppid()
+
+    def _watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=_watch, name="repro-parent-watch",
+                     daemon=True).start()
 
 
 def _execute_run(trace: Trace, system_name: str, cfg: SimulationConfig,
@@ -775,8 +795,8 @@ class SweepRunner:
         engine)`` so repeated runs (e.g. the per-app perfect baseline
         shared by several figures) are simulated once.
     engine:
-        Execution engine for all runs (default: the session default, see
-        :mod:`repro.engine`).
+        Execution engine for all runs (default: ``REPRO_ENGINE`` or
+        ``kernel``, see :mod:`repro.engine`).
     trace_store:
         On-disk trace store used for parallel dispatch (see
         :class:`TraceStore`).  The default builds a private store in a
@@ -924,7 +944,8 @@ class SweepRunner:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_exit_with_parent)
         return self._pool
 
     def _kill_pool(self) -> None:

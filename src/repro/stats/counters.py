@@ -145,7 +145,7 @@ class MachineStats:
     #: at the end of a run; empty for hand-built statistics objects.
     stall_breakdown: Dict[object, int] = field(default_factory=dict)
     #: per-lane execution profile of the engine that produced this run
-    #: (reference counts for the fast/promoted/demoted/residual lanes and
+    #: (reference counts for the fast/demoted/residual lanes and
     #: wall time) — diagnostic only, never part of the simulated results;
     #: ``None`` for the reference interpreter and hand-built objects.
     engine_profile: Optional[Dict[str, object]] = None

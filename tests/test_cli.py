@@ -170,6 +170,10 @@ class TestExpCommand:
                      "--profile"])
         assert code == 0
         out = capsys.readouterr().out
+        header = next(l for l in out.splitlines() if l.startswith("app "))
+        assert header.split() == ["app", "system", "engine", "refs", "fast",
+                                  "demoted", "residual", "wall_s", "rss_mb",
+                                  "strm_mb"]
         bails_line = next(l for l in out.splitlines()
                           if l.startswith("bails:"))
         for kind in ("fault", "collapse", "replicate", "migrate",

@@ -185,25 +185,16 @@ def _run_streams(num_procs, streams):
     return Trace(name="adversarial", num_procs=num_procs, phases=[phase])
 
 
-class TestPromotionAdversarial:
-    """Equivalence under traces built to stress the promotion lane.
+class TestDemotionAdversarial:
+    """Equivalence under traces built to stress shootdown demotion.
 
     Each trace forces a specific hazard sequence — miss fill followed by
     a long same-block read run, a conflicting-set access cutting the
     run, foreign writes landing inside it, owned-write runs, and
-    page-operation shootdowns mid-run — and must produce bit-identical
-    results with promotion enabled and disabled, for every system.
+    page-operation shootdowns mid-run that demote pre-classified hits —
+    and must produce bit-identical results on every engine, for every
+    system.
     """
-
-    @pytest.fixture(autouse=True,
-                    params=["adaptive", "promotion", "no-promotion"])
-    def _promotion_mode(self, request, monkeypatch):
-        if request.param == "promotion":
-            monkeypatch.setenv("REPRO_PROMOTION", "1")
-        elif request.param == "no-promotion":
-            monkeypatch.setenv("REPRO_PROMOTION", "0")
-        else:
-            monkeypatch.delenv("REPRO_PROMOTION", raising=False)
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_runs_with_conflicts_and_writes(self, system, tiny_config):
@@ -225,8 +216,8 @@ class TestPromotionAdversarial:
                              ["ccnuma", "migrep", "rnuma", "scoma",
                               "rnuma-half-migrep"])
     def test_shootdown_mid_run(self, system, small_config, small_machine):
-        """Page-op churn demotes pre-classified runs; promotion must
-        recover them without changing a single counter."""
+        """Page-op churn demotes pre-classified runs without changing a
+        single counter."""
         spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
                                 accesses=400, write_fraction=0.25,
                                 shift=1, phases=3)
@@ -236,8 +227,8 @@ class TestPromotionAdversarial:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_random_run_traces(self, data):
-        """Random traces with same-block run structure (the promotion
-        lane's target shape) across the core systems."""
+        """Random traces with same-block run structure (long provable
+        hit runs for page operations to cut) across the core systems."""
         tiny_config = _random_trace_config()
         num_procs = 4
         num_blocks = data.draw(st.integers(8, 48))
@@ -267,58 +258,22 @@ class TestPromotionAdversarial:
 class TestResidualSchedule:
     """Unit tests for the pending-schedule mask structure."""
 
-    def _classify(self, streams, num_lines=4, build_promotion=True):
+    def _classify(self, streams, num_lines=4):
         from repro.engine.classify import classify_phase
         from repro.mem.cache import DirectMappedCache
 
         blocks = [np.asarray(b, dtype=np.int64) for b, _ in streams]
         writes = [np.asarray(w, dtype=bool) for _, w in streams]
         caches = [DirectMappedCache(num_lines) for _ in streams]
-        return classify_phase(blocks, writes, caches, lambda b: 0,
-                              build_promotion=build_promotion)
+        return classify_phase(blocks, writes, caches, lambda b: 0)
 
     def test_entries_in_interleave_order_with_slots(self):
         cls, sched = self._classify([([1, 1, 2], [1, 0, 0]),
                                      ([3, 3, 3], [0, 0, 1])])
         assert len(sched.entries) > 0
         assert sched.keys == sorted(sched.keys)
-        for i, p, probe, blk, wrt, slot, chain in sched.entries:
-            assert sched.idx[p][slot] == i
-
-    def test_promote_demote_are_mask_flips(self):
-        cls, sched = self._classify([([1, 1, 1, 1], [1, 0, 0, 0])])
-        # the head write is residual slot 0; flipping the mask moves it
-        # out of (and back into) the pending set without rebuilding
-        assert not sched.is_promoted(0, 0)
-        head_idx = sched.idx[0][0]
-        assert head_idx in sched.pending(0)
-        sched.promote(0, 0)
-        assert sched.is_promoted(0, 0)
-        assert head_idx not in sched.pending(0)
-        sched.demote(0, 0)
-        assert not sched.is_promoted(0, 0)
-        assert head_idx in sched.pending(0)
-
-    def test_next_same_block_chains_are_per_block(self):
-        # proc 0: write-run on block 1 (residual writes chain together);
-        # block 2 interleaved on a different set
-        cls, sched = self._classify([([1, 1, 1, 2, 1], [1, 1, 1, 1, 1])])
-        nsb = sched.next_same_block[0]
-        idx = sched.idx[0]
-        blkof = {i: b for i, b in zip(idx, [1, 1, 1, 2, 1])}
-        for s, t in enumerate(nsb):
-            if t >= 0:
-                assert blkof[idx[s]] == blkof[idx[t]]
-                assert idx[t] > idx[s]
-
-    def test_prev_conflict_marks_set_pressure(self):
-        # blocks 1 and 5 share set 1 of a 4-line cache: the return to 1
-        # after 5 must carry the conflicting access as its proof
-        cls, sched = self._classify([([1, 5, 1], [1, 1, 1])])
-        by_idx = dict(zip(sched.idx[0], sched.prev_conflict[0]))
-        assert by_idx[0] == -1         # the opening access has no pressure
-        assert by_idx[1] == 0          # 5 displaces the access to 1
-        assert by_idx[2] == 1          # return to 1 crosses the access to 5
+        for i, p, probe, blk, wrt, slot in sched.entries:
+            assert sched.slot_of[p][i] == slot
 
     def test_first_touch_prepromoted_when_resident_fresh(self):
         from repro.engine.classify import CLS_FAST, classify_phase
@@ -329,10 +284,10 @@ class TestResidualSchedule:
         cls, sched = classify_phase([np.asarray([1, 1], dtype=np.int64)],
                                     [np.asarray([0, 0], dtype=bool)],
                                     [cache], lambda b: 0)
-        # the first touch is a residual slot, pre-promoted to fast
+        # the first touch is a residual slot, marked fast in the mask
         assert cls[0][0] == CLS_FAST
         slot = int(sched.slot_of[0][0])
-        assert slot >= 0 and sched.is_promoted(0, slot)
+        assert slot >= 0 and sched.status[0][slot] == 1
 
     def test_static_schedule_cached_on_phase(self):
         from repro.engine import classify as C
@@ -522,83 +477,6 @@ class TestKernelEngine:
         assert stats.stall_breakdown == ref.stall_breakdown
         assert machine.stats.execution_time == ref.execution_time
 
-    def test_promotion_env_is_invariant(self, small_config, small_machine,
-                                        monkeypatch):
-        """The kernel runs promotion-free; REPRO_PROMOTION must not
-        change a single bit of its output."""
-        require_c_backend()
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
-        trace = self._trace(small_machine)
-        fps = []
-        for promo in ("0", "1"):
-            monkeypatch.setenv("REPRO_PROMOTION", promo)
-            machine = Machine(small_config, build_system("migrep"))
-            stats = machine.run(trace, engine="kernel")
-            assert stats.engine_profile["engine"] == "kernel"
-            fps.append(fingerprint(machine, stats))
-        assert fps[0] == fps[1]
-
-
-class TestAdaptivePromotion:
-    """Per-phase promotion decisions from static residual density."""
-
-    def _profile(self, cfg, system, trace, monkeypatch, env=None):
-        if env is None:
-            monkeypatch.delenv("REPRO_PROMOTION", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PROMOTION", env)
-        machine = Machine(cfg, build_system(system))
-        stats = machine.run(trace, engine="batched")
-        return stats.engine_profile
-
-    def test_adaptive_records_per_phase_decisions(
-            self, small_config, small_machine, monkeypatch):
-        spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
-                                accesses=400, write_fraction=0.3,
-                                shift=1, phases=3)
-        trace = make_trace(spec, small_machine, seed=5)
-        prof = self._profile(small_config, "migrep", trace, monkeypatch)
-        assert prof["promotion_mode"] == "adaptive"
-        decisions = prof["phase_promotions"]
-        assert len(decisions) == len(trace.phases)
-        for d in decisions:
-            assert isinstance(d["promotion"], bool)
-            assert 0.0 <= d["residual_density"] <= 1.0
-        assert prof["promotion_enabled"] == any(
-            d["promotion"] for d in decisions)
-
-    def test_env_override_forces_mode(self, tiny_config, tiny_machine,
-                                      monkeypatch):
-        spec = make_simple_spec(accesses=200, write_fraction=0.2)
-        trace = make_trace(spec, tiny_machine, seed=3)
-        on = self._profile(tiny_config, "ccnuma", trace, monkeypatch, "1")
-        assert on["promotion_mode"] == "on"
-        assert on["promotion_enabled"]
-        assert all(d["promotion"] for d in on["phase_promotions"])
-        off = self._profile(tiny_config, "ccnuma", trace, monkeypatch, "0")
-        assert off["promotion_mode"] == "off"
-        assert not off["promotion_enabled"]
-        assert not any(d["promotion"] for d in off["phase_promotions"])
-
-    def test_density_threshold_decides(self, tiny_config, tiny_machine,
-                                       monkeypatch):
-        """Long same-block runs → low density → promotion on; a stream
-        of conflicting first touches → high density → promotion off."""
-        from repro.engine.batched import PROMOTION_DENSITY_THRESHOLD
-
-        runs = _run_streams(4, [([7] * 40, [1] + [0] * 39)] * 4)
-        prof = self._profile(tiny_config, "ccnuma", runs, monkeypatch)
-        (d,) = prof["phase_promotions"]
-        assert d["residual_density"] < PROMOTION_DENSITY_THRESHOLD
-        assert d["promotion"] is True
-
-        churn = _run_streams(
-            4, [(list(range(0, 64 * 16, 16)), [0] * 64)] * 4)
-        prof = self._profile(tiny_config, "ccnuma", churn, monkeypatch)
-        (d,) = prof["phase_promotions"]
-        assert d["residual_density"] >= PROMOTION_DENSITY_THRESHOLD
-        assert d["promotion"] is False
-
 
 class TestEngineSelection:
     def test_engine_names(self):
@@ -613,7 +491,32 @@ class TestEngineSelection:
         monkeypatch.setenv("REPRO_ENGINE", "legacy")
         assert default_engine() == "legacy"
         monkeypatch.setenv("REPRO_ENGINE", "nonsense")
-        assert default_engine() == "batched"
+        assert default_engine() == "kernel"
+        monkeypatch.delenv("REPRO_ENGINE")
+        assert default_engine() == "kernel"
+
+    def test_default_engine_falls_back_without_compiler(
+            self, small_config, small_machine, monkeypatch):
+        """With no C build the default (kernel) run falls back to
+        batched for the whole run, names why, and matches legacy."""
+        from repro.engine.kernel import cbuild
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        monkeypatch.setattr(cbuild, "load_cwalk", lambda: None)
+        spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
+                                accesses=400, write_fraction=0.3,
+                                shift=1, phases=3)
+        trace = make_trace(spec, small_machine, seed=5)
+        machine = Machine(small_config, build_system("migrep"))
+        stats = machine.run(trace)
+        prof = stats.engine_profile
+        assert prof["engine"] == "batched"
+        assert prof["requested_engine"] == "kernel"
+        assert "no working compiler" in prof["fallback_reason"]
+        ref_machine = Machine(small_config, build_system("migrep"))
+        ref = ref_machine.run(trace, engine="legacy")
+        assert fingerprint(machine, stats) == fingerprint(ref_machine, ref)
 
     def test_machine_run_accepts_engine(self, tiny_config, tiny_machine):
         spec = make_simple_spec(accesses=50)

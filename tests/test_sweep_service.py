@@ -5,7 +5,8 @@ The three load-bearing properties:
 * two clients submitting an identical scenario share **one** execution
   (``inflight_joins``) and receive bit-identical ResultSets;
 * a daemon SIGKILLed mid-sweep restarts against the same store and
-  recomputes **zero** completed runs on resubmission;
+  recomputes **zero** completed runs on resubmission, and its pool
+  workers and resource tracker exit with it;
 * a service sweep executed under injected worker faults
   (``REPRO_FAULTS``) returns results bit-identical to a fault-free
   direct :func:`run_scenario`.
@@ -13,6 +14,7 @@ The three load-bearing properties:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -189,7 +191,9 @@ class TestInflightDedupe:
             client.shutdown()
 
     def test_progress_events_stream(self, sock):
-        service = SweepService(sock, jobs=1)
+        # pinned to the batched engine: the kernel finishes this sweep
+        # in about one progress interval, too soon to stream progress
+        service = SweepService(sock, jobs=1, engine="batched")
         _start(service)
         client = ServiceClient(sock)
         events = []
@@ -202,7 +206,8 @@ class TestInflightDedupe:
         assert kinds[0] == "accepted"
         assert kinds[-1] == "result"
         progress = [e for e in events if e["event"] == "progress"]
-        # figure5 at this scale runs for ~1.5s, several progress intervals
+        # figure5 at this scale runs for ~1.3s on batched, several
+        # progress intervals
         assert progress, "no progress events for a multi-second sweep"
         assert all("runs" in e["runner"] for e in progress)
 
@@ -242,6 +247,35 @@ class TestServiceMatchesDirect:
         assert injected > 0, "fault plan injected nothing; rates too low?"
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from ``/proc``, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _child_pids(pid):
+    """Pids of ``pid``'s children, or None where ``/proc`` is unavailable."""
+    if not sys.platform.startswith("linux"):
+        return None
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _live(pids):
+    """The pids in ``pids`` still running (neither gone nor zombies)."""
+    return [pid for pid in pids
+            if (_proc_stat(pid) or ("Z",))[0] != "Z"]
+
+
 class TestKillRestartResume:
     def _spawn_daemon(self, sock, store_path):
         import repro
@@ -270,11 +304,24 @@ class TestKillRestartResume:
                 daemon=True)
             submitted.start()
             rows_at_kill = self._wait_for_rows(store_path, deadline=120)
+            children = _child_pids(daemon.pid)
             daemon.kill()
             daemon.wait(timeout=10)
         finally:
             if daemon.poll() is None:
                 daemon.kill()
+        if children is not None:
+            # the -j2 pool and its resource tracker must not outlive the
+            # daemon (reparented to init, they would run forever)
+            assert children, "expected pool workers under the daemon"
+            end = time.monotonic() + 10
+            while _live(children) and time.monotonic() < end:
+                time.sleep(0.2)
+            orphans = _live(children)
+            for pid in orphans:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            assert not orphans, f"orphaned daemon children: {orphans}"
         # restart against the same socket path and store
         daemon = self._spawn_daemon(sock, store_path)
         try:
