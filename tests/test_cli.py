@@ -38,6 +38,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "lu", "not-a-system"])
 
+    @pytest.mark.parametrize("command", [["run", "lu", "ccnuma"],
+                                         ["figure5"], ["exp", "figure5"],
+                                         ["serve"]])
+    def test_engine_help_names_the_kernel_default(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main(command[:1] + ["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "simulation engine (default: kernel" in out
+
     def test_apps_are_comma_separated(self):
         args = build_parser().parse_args(["figure5", "--apps", "lu, radix"])
         assert args.apps == ["lu", "radix"]
@@ -181,6 +190,22 @@ class TestExpCommand:
             assert f"{kind}=" in bails_line
         # every system rides the kernel, the perfect baseline included
         assert re.search(r" perfect +kernel:c ", out), out
+        assert "kernel fallbacks:" not in out
+
+    def test_exp_profile_default_engine_is_the_kernel(self, capsys,
+                                                      monkeypatch):
+        """With no --engine and no REPRO_ENGINE every run rides the C
+        walk: no batched rows and no fallback section."""
+        require_c_backend()
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        code = main(["exp", "figure5", "--apps", "lu", "--scale", "0.03",
+                     "--systems", "ccnuma,migrep", "--profile"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for system in ("perfect", "ccnuma", "migrep"):
+            assert re.search(rf" {system} +kernel:c ", out), out
+        assert " batched " not in out
         assert "kernel fallbacks:" not in out
 
     def test_exp_axis_overrides_and_csv(self, capsys, tmp_path):

@@ -212,12 +212,11 @@ class TestDemotionAdversarial:
         trace = _run_streams(4, [p0, p1, p2, p3])
         assert_equivalent(tiny_config, system, trace)
 
-    @pytest.mark.parametrize("system",
-                             ["ccnuma", "migrep", "rnuma", "scoma",
-                              "rnuma-half-migrep"])
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_shootdown_mid_run(self, system, small_config, small_machine):
         """Page-op churn demotes pre-classified runs without changing a
-        single counter."""
+        single counter (systems without page operations run the same
+        trace undemoted)."""
         spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
                                 accesses=400, write_fraction=0.25,
                                 shift=1, phases=3)
@@ -255,6 +254,88 @@ class TestDemotionAdversarial:
         assert_equivalent(tiny_config, system, trace)
 
 
+#: ``engine_profile`` keys per engine (a kernel fallback run is batched's,
+#: plus ``requested_engine`` and ``fallback_reason``)
+PROFILE_KEYS = {
+    "batched": {"engine", "references", "fast", "demoted", "residual",
+                "phases", "wall_s"},
+    "kernel": {"engine", "backend", "references", "fast", "demoted",
+               "residual", "phases", "bails", "bail_kinds", "wall_s"},
+}
+
+
+class TestDemotionProfile:
+    """The reference counts both engines report in ``engine_profile``.
+
+    ``references``, ``fast``, ``residual`` and ``demoted`` are what the
+    per-layer benchmark tracing reads.  The engines share the static
+    classification and the shootdown hooks, so one run reports the same
+    counts on either, and only page operations (which flush L1 lines
+    outside the reference stream) demote.
+    """
+
+    @pytest.fixture
+    def churn_trace(self, small_machine):
+        spec = make_simple_spec(pattern=SharingPattern.MIGRATORY,
+                                accesses=400, write_fraction=0.25,
+                                shift=1, phases=3)
+        return make_trace(spec, small_machine, seed=13)
+
+    @pytest.fixture
+    def c_backend(self, monkeypatch):
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
+
+    @staticmethod
+    def _run(cfg, system, trace, engine):
+        machine = Machine(cfg, build_system(system))
+        return machine.run(trace, engine=engine)
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_engines_report_the_same_counts(self, system, small_config,
+                                            churn_trace, c_backend):
+        counts = ("references", "fast", "residual", "demoted")
+        batched = self._run(small_config, system, churn_trace,
+                            "batched").engine_profile
+        kernel = self._run(small_config, system, churn_trace,
+                           "kernel").engine_profile
+        assert kernel["engine"] == "kernel"
+        assert ({k: kernel[k] for k in counts}
+                == {k: batched[k] for k in counts})
+        assert batched["references"] == churn_trace.total_accesses()
+        assert batched["fast"] + batched["residual"] == batched["references"]
+        assert 0 <= batched["demoted"] <= batched["residual"]
+
+    @pytest.mark.parametrize("engine", ["batched", "kernel"])
+    @pytest.mark.parametrize("system", ["mig", "migrep", "rnuma-migrep",
+                                        "rnuma-half-migrep"])
+    def test_migrations_demote_fast_references(self, system, engine,
+                                               small_config, churn_trace,
+                                               c_backend):
+        stats = self._run(small_config, system, churn_trace, engine)
+        assert stats.engine_profile["engine"] == engine
+        assert sum(n.migrations for n in stats.nodes) > 0
+        assert stats.engine_profile["demoted"] > 0
+
+    @pytest.mark.parametrize("engine", ["batched", "kernel"])
+    @pytest.mark.parametrize("system", ["perfect", "ccnuma"])
+    def test_no_page_operations_no_demotion(self, system, engine,
+                                            small_config, churn_trace,
+                                            c_backend):
+        stats = self._run(small_config, system, churn_trace, engine)
+        assert stats.engine_profile["engine"] == engine
+        assert not any(n.migrations or n.replications or n.relocations
+                       for n in stats.nodes)
+        assert stats.engine_profile["demoted"] == 0
+
+    @pytest.mark.parametrize("engine", ["batched", "kernel"])
+    def test_profile_keys(self, engine, small_config, churn_trace,
+                          c_backend):
+        prof = self._run(small_config, "migrep", churn_trace,
+                         engine).engine_profile
+        assert set(prof) == PROFILE_KEYS[engine]
+
+
 class TestResidualSchedule:
     """Unit tests for the pending-schedule mask structure."""
 
@@ -288,6 +369,110 @@ class TestResidualSchedule:
         assert cls[0][0] == CLS_FAST
         slot = int(sched.slot_of[0][0])
         assert slot >= 0 and sched.status[0][slot] == 1
+
+    def test_stale_first_touch_stays_residual(self):
+        from repro.engine.classify import CLS_PROBE, classify_phase
+        from repro.mem.cache import DirectMappedCache
+
+        cache = DirectMappedCache(4)
+        cache.fill(1, version=0)
+        # the directory has moved on to version 1: the resident copy is
+        # stale, so the first touch must take the exact probe
+        cls, sched = classify_phase([np.asarray([1, 1], dtype=np.int64)],
+                                    [np.asarray([0, 0], dtype=bool)],
+                                    [cache], lambda b: 1)
+        assert cls[0][0] == CLS_PROBE
+        assert sched.status[0][int(sched.slot_of[0][0])] == 0
+
+    def test_first_touch_after_phase_write_stays_residual(self):
+        from repro.engine.classify import CLS_PROBE, classify_phase
+        from repro.mem.cache import DirectMappedCache
+
+        caches = [DirectMappedCache(4), DirectMappedCache(4)]
+        caches[0].fill(1, version=0)
+        # interleave: p0 reads 2, p1 writes 1, p0 first-touches 1 —
+        # fresh in p0's cache now, but not once p1's write has run
+        cls, sched = classify_phase(
+            [np.asarray([2, 1], dtype=np.int64),
+             np.asarray([1], dtype=np.int64)],
+            [np.asarray([0, 0], dtype=bool), np.asarray([1], dtype=bool)],
+            caches, lambda b: 0)
+        assert cls[0][1] == CLS_PROBE
+        assert sched.status[0][int(sched.slot_of[0][1])] == 0
+
+    def test_repeat_reads_are_fast_and_slotless(self):
+        from repro.engine.classify import CLS_FAST, CLS_PROBE
+
+        cls, sched = self._classify([([1, 1, 1], [0, 0, 0])])
+        assert cls[0].tolist() == [CLS_PROBE, CLS_FAST, CLS_FAST]
+        assert sched.slot_of[0].tolist() == [0, -1, -1]
+        assert len(sched.entries) == 1
+
+    def test_conflicting_block_is_a_miss(self):
+        from repro.engine.classify import CLS_MISS, CLS_PROBE
+
+        # blocks 1 and 5 share line 1 of a 4-line cache: each return
+        # provably finds the other block there
+        cls, _ = self._classify([([1, 5, 1], [0, 0, 0])])
+        assert cls[0].tolist() == [CLS_PROBE, CLS_MISS, CLS_MISS]
+
+    def test_foreign_write_between_reads_makes_a_probe(self):
+        from repro.engine.classify import CLS_FAST, CLS_PROBE
+
+        # interleave positions: p0 reads 1 at 0, 2 and 4; p1 writes 1 at 3
+        cls, _ = self._classify([([1, 1, 1], [0, 0, 0]),
+                                 ([2, 1], [0, 1])])
+        assert cls[0].tolist() == [CLS_PROBE, CLS_FAST, CLS_PROBE]
+
+    def test_writes_are_never_fast(self):
+        from repro.engine.classify import CLS_FAST
+
+        streams = [([1, 1, 1, 2, 2, 1], [0, 1, 1, 0, 1, 1]),
+                   ([3, 3, 3, 3], [1, 1, 0, 1])]
+        cls, _ = self._classify(streams)
+        for (_, writes), c in zip(streams, cls):
+            for w, code in zip(writes, c.tolist()):
+                if w:
+                    assert code != CLS_FAST
+
+    def test_slots_number_each_procs_residual_references(self):
+        from repro.engine.classify import CLS_FAST
+
+        streams = [([1, 1, 5, 1, 2, 2], [0, 0, 0, 1, 0, 0]),
+                   ([3, 3, 7, 3], [1, 0, 0, 0])]
+        cls, sched = self._classify(streams)
+        for p, slots in enumerate(sched.slot_of):
+            residual = [int(s) for s in slots if s >= 0]
+            assert residual == list(range(len(sched.status[p])))
+            for s, code in zip(slots.tolist(), cls[p].tolist()):
+                if s < 0:
+                    assert code == CLS_FAST
+            assert sum(1 for e in sched.entries if e[1] == p) == len(residual)
+
+    def test_status_mask_is_fresh_per_run(self):
+        from repro.engine.classify import CLS_FAST, CLS_PROBE, classify_phase
+        from repro.mem.cache import DirectMappedCache
+
+        phase = PhaseTrace(name="s", compute_per_access=1,
+                           blocks=[np.asarray([1, 1], dtype=np.int64)],
+                           writes=[np.asarray([0, 0], dtype=bool)])
+        warm = DirectMappedCache(4)
+        warm.fill(1, version=0)
+        cls, sched = classify_phase(phase.blocks, phase.writes, [warm],
+                                    lambda b: 0, phase=phase)
+        assert cls[0][0] == CLS_FAST and sched.status[0][0] == 1
+        # the next run reuses the cached static schedule on a cold cache:
+        # the first run's live-state marks must not carry over
+        cls, sched = classify_phase(phase.blocks, phase.writes,
+                                    [DirectMappedCache(4)], lambda b: 0,
+                                    phase=phase)
+        assert cls[0][0] == CLS_PROBE and sched.status[0][0] == 0
+
+    def test_empty_phase_has_empty_schedule(self):
+        cls, sched = self._classify([([], []), ([], [])])
+        assert [len(c) for c in cls] == [0, 0]
+        assert sched.entries == [] and sched.keys == []
+        assert [len(s) for s in sched.status] == [0, 0]
 
     def test_static_schedule_cached_on_phase(self):
         from repro.engine import classify as C
@@ -495,6 +680,23 @@ class TestEngineSelection:
         monkeypatch.delenv("REPRO_ENGINE")
         assert default_engine() == "kernel"
 
+    @pytest.mark.parametrize("value, engine",
+                             [("kernel", "kernel"), ("batched", "batched"),
+                              (" Batched\n", "batched"),
+                              ("LEGACY", "legacy"), ("", "kernel")])
+    def test_env_value_is_normalised(self, value, engine, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert default_engine() == engine
+
+    def test_resolve_engine_default_is_kernel(self, monkeypatch):
+        from repro.engine import run_batched, run_kernel
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine() is run_kernel
+        assert resolve_engine("batched") is run_batched
+        monkeypatch.setenv("REPRO_ENGINE", "batched")
+        assert resolve_engine() is run_batched
+
     def test_default_engine_falls_back_without_compiler(
             self, small_config, small_machine, monkeypatch):
         """With no C build the default (kernel) run falls back to
@@ -524,3 +726,69 @@ class TestEngineSelection:
         machine = Machine(tiny_config, build_system("ccnuma"))
         stats = machine.run(trace, engine="legacy")
         assert stats.total_accesses == trace.total_accesses()
+
+
+class TestEngineRunGuard:
+    """``engine_run_guard``: shootdown hooks and GC pause for one run."""
+
+    @staticmethod
+    def _caches(n=2, lines=4):
+        from repro.mem.cache import DirectMappedCache
+        return [DirectMappedCache(lines) for _ in range(n)]
+
+    def test_hooks_record_dropped_and_filled_sets(self):
+        from repro.engine._guard import engine_run_guard
+
+        caches = self._caches()
+        caches[0].fill(5, version=0)
+        events = {}
+        with engine_run_guard(caches, events):
+            caches[0].invalidate(5)           # drop: set 1
+            caches[0].fill(6, version=0)      # fill: set 2
+            caches[0].invalidate(7)           # absent: no event
+            caches[1].fill(9, version=0)      # set 1 of cache 1
+        assert events == {0: {1, 2}, 1: {1}}
+
+    def test_whole_cache_drop_covers_every_set(self):
+        from repro.engine._guard import engine_run_guard
+
+        caches = self._caches()
+        events = {}
+        with engine_run_guard(caches, events):
+            caches[1].fill(3, version=0)
+            caches[1].clear()
+            caches[1].fill(2, version=0)
+        assert events == {1: True}
+
+    def test_hooks_and_gc_restored_after_an_exception(self):
+        import gc
+
+        from repro.engine._guard import engine_run_guard
+
+        caches = self._caches()
+        mine = [lambda b: None for _ in caches]
+        for c, hook in zip(caches, mine):
+            c.watch = hook
+            c.fill_watch = hook
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="mid-run"):
+            with engine_run_guard(caches, {}):
+                assert not gc.isenabled()
+                assert caches[0].watch is not mine[0]
+                raise RuntimeError("mid-run")
+        assert gc.isenabled()
+        for c, hook in zip(caches, mine):
+            assert c.watch is hook and c.fill_watch is hook
+
+    def test_gc_left_disabled_if_it_was(self):
+        import gc
+
+        from repro.engine._guard import engine_run_guard
+
+        gc.disable()
+        try:
+            with engine_run_guard(self._caches(), {}):
+                pass
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

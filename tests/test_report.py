@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.report import ExperimentReport, build_report
@@ -59,3 +62,32 @@ class TestBuildReport:
         assert tiny_report.elapsed_seconds > 0
         assert tiny_report.scale == 0.05
         assert "scale 0.05" in tiny_report.to_markdown()
+
+
+class TestCommittedReport:
+    """The committed EXPERIMENTS.md: ``scripts/make_experiments_md.py``
+    at its defaults (scale 0.5, seed 0), which CI regenerates."""
+
+    @pytest.fixture(scope="class")
+    def text(self) -> str:
+        path = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+        return path.read_text(encoding="utf-8")
+
+    def test_every_codified_claim_holds(self, text):
+        m = re.search(r"(\d+) of (\d+) codified claims", text)
+        assert m, "no shape-check summary line"
+        held, total = int(m.group(1)), int(m.group(2))
+        assert held == total > 0
+        # the summary counts the per-figure check tables' rows
+        assert len(re.findall(r"^\| .+ \| pass \| ", text, re.M)) == total
+        assert not re.search(r"^\| .+ \| FAIL \| ", text, re.M)
+
+    def test_full_run_at_script_defaults(self, text):
+        assert "(workload scale 0.5, seed 0)" in text
+        for artifact in ("Table 1", "Table 2", "Table 3", "Table 4",
+                         "Figure 5", "Figure 6", "Figure 7", "Figure 8"):
+            assert f"## {artifact}" in text
+        # all seven applications, not a smoke-run subset
+        for app in ("barnes", "cholesky", "fmm", "lu", "ocean", "radix",
+                    "raytrace"):
+            assert f"| {app} |" in text

@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -550,3 +559,69 @@ class TestExplicitSystemSpecs:
         with SweepRunner() as runner:
             results = runner.run_systems(ocean_trace, [spec], cfg)
         assert set(results) == {"perfect", "rnuma-half"}
+
+
+def _parent_watch_running() -> bool:
+    """(In a pool worker) whether the parent-watch thread is running."""
+    return any(t.name == "repro-parent-watch" and t.is_alive()
+               for t in threading.enumerate())
+
+
+class TestOrphanedWorkers:
+    """Pool workers exit once the process that made the pool is gone."""
+
+    def test_pool_workers_watch_their_parent(self):
+        with SweepRunner(jobs=2) as runner:
+            pool = runner._ensure_pool()
+            futures = [pool.submit(_parent_watch_running) for _ in range(4)]
+            assert all(f.result(timeout=60) for f in futures)
+        assert not _parent_watch_running()
+
+    def test_worker_exits_when_its_parent_is_killed(self):
+        """A process that armed the watch outlives its SIGKILLed parent
+        by about one poll: it holds the pipe's last write end, so the
+        pipe reaching EOF proves it has exited."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        worker = textwrap.dedent("""
+            import os, time
+            from repro.experiments.runner import _exit_with_parent
+            _exit_with_parent()
+            print("ready", os.getpid(), flush=True)
+            time.sleep(60)
+        """)
+        parent = textwrap.dedent(f"""
+            import subprocess, sys, time
+            subprocess.Popen([sys.executable, "-c", {worker!r}])
+            time.sleep(60)
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", parent], env=env,
+                                stdout=subprocess.PIPE)
+        worker_pid = None
+        eof = False
+        try:
+            line = proc.stdout.readline().split()
+            assert line[:1] == [b"ready"], line
+            worker_pid = int(line[1])
+            proc.kill()
+            proc.wait(timeout=10)
+            fd = proc.stdout.fileno()
+            end = time.monotonic() + 10
+            while not eof and time.monotonic() < end:
+                ready, _, _ = select.select([fd], [], [], 0.5)
+                eof = bool(ready) and os.read(fd, 4096) == b""
+            assert eof, f"worker {worker_pid} outlived its parent"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            if worker_pid is not None and not eof:
+                try:
+                    os.kill(worker_pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.stdout.close()
