@@ -13,11 +13,11 @@ defines *how* the reference stream is executed:
     unchanged protocol machinery; the kernel's pure-Python fallback.
     Statistics and execution times are bit-identical to the interpreter.
 ``kernel``
-    The compiled residual kernel (:mod:`repro.engine.kernel`): the
-    batched engine's residual walk transcribed to flat arrays in C
-    (``cwalk.c``, built on demand with the system compiler), bailing to
-    Python only for page operations, mapping faults and adaptive-policy
-    evaluations.  Every stock system runs on it; shapes it cannot
+    The compiled kernel (:mod:`repro.engine.kernel`): the interpreter's
+    loop transcribed to flat arrays in C (``cwalk.c``, built on demand
+    with the system compiler), walking each phase's raw streams and
+    probing every reference, bailing to Python only for page
+    operations, mapping faults and adaptive-policy evaluations.  Every stock system runs on it; shapes it cannot
     express (user protocol subclasses, exotic or heterogeneous caches),
     and every run on a host with no working C compiler, transparently
     fall back to ``batched`` for the run, recording the reason in

@@ -1,16 +1,18 @@
 """Shared run-scoped guard for the batched and kernel engines.
 
-Both engines pause the garbage collector for the duration of a run (their
-walks allocate large bursts of small tuples that survive exactly one
-phase — the worst case for generational collection) and arm the L1
-caches' ``watch``/``fill_watch`` hooks so out-of-band line drops and
-fills during protocol calls demote the engine's pre-classified fast
-references.  A hook records the (processor, cache set) it dropped or
-filled in the engine's ``events`` dict (``True`` for a whole-cache
-drop); the classifier's occupancy proof is per set, so only that set's
-pending fast references are demoted.  Neither effect may outlive the run: a leaked
-GC pause slows everything after the run, and leaked hooks corrupt the
-next engine (or user code) touching the same caches.
+Both engines pause the garbage collector for the duration of a run (the
+batched walk allocates large bursts of small tuples that survive exactly
+one phase — the worst case for generational collection).  The batched
+engine also arms the L1 caches' ``watch``/``fill_watch`` hooks
+so out-of-band line drops and fills during protocol calls demote its
+pre-classified fast references.  A hook records the (processor, cache
+set) it dropped or filled in the engine's ``events`` dict (``True`` for
+a whole-cache drop); the classifier's occupancy proof is per set, so
+only that set's pending fast references are demoted.  The kernel
+classifies nothing ahead of its walk, so it arms no hook.  Neither
+effect may outlive the run: a leaked GC pause slows everything after the
+run, and leaked hooks corrupt the next engine (or user code) touching
+the same caches.
 
 :func:`engine_run_guard` owns that save/arm/restore dance in one place so
 an exception anywhere in an engine's phase loop cannot leak either
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class KernelBackendError(RuntimeError):
@@ -82,13 +84,15 @@ def _mk_watch(events: dict, p: int, nl: int) -> Callable[[int], None]:
 
 
 @contextmanager
-def engine_run_guard(caches: Sequence, events: dict) -> Iterator[None]:
+def engine_run_guard(caches: Sequence = (),
+                     events: Optional[dict] = None) -> Iterator[None]:
     """Pause the GC and arm per-cache shootdown hooks for one engine run.
 
     Cache ``p``'s ``watch`` and ``fill_watch`` hooks record into
-    ``events[p]`` (see the module docstring).  On exit — normal or
-    exceptional — the original hooks are restored and the GC is
-    re-enabled iff it was enabled on entry.
+    ``events[p]`` (see the module docstring); with no ``caches`` only
+    the GC is paused.  On exit — normal or exceptional — the original
+    hooks are restored and the GC is re-enabled iff it was enabled on
+    entry.
     """
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:

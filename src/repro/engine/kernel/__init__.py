@@ -1,12 +1,15 @@
-"""The compiled residual kernel — ``engine=kernel``.
+"""The compiled kernel — ``engine=kernel``.
 
-The kernel executes the batched engine's residual schedule against flat
+The kernel runs the interpreter's reference loop against flat
 index-addressed array stores instead of Python objects: per phase it
-classifies the references (:mod:`repro.engine.classify`), marshals the
-simulator's stores into zero-copy numpy views
-(:mod:`repro.engine.kernel.state`) and hands the walk to its one
-compiled implementation, ``cwalk.c``, built on demand by
-:mod:`repro.engine.kernel.cbuild` with the system C compiler.
+marshals the simulator's stores into zero-copy numpy views
+(:mod:`repro.engine.kernel.state`) and hands the phase's own
+``blocks``/``writes`` streams to its one compiled walk, ``cwalk.c``,
+built on demand by :mod:`repro.engine.kernel.cbuild` with the system C
+compiler.  The walk visits the references in the interpreter's
+round-robin ``(i, p)`` order and probes every one; nothing is
+classified ahead of it, so a page operation's L1 shootdown needs no
+repair — the next probe of a flushed line misses.
 
 The walk runs the probe/upgrade/local-fill/block-cache lanes — plus
 the page-cache probe lane for S-COMA-family systems, the home-side
@@ -17,13 +20,13 @@ events that need real protocol machinery: mapping faults, writes to
 replicated pages, fired migration/replication/relocation decisions,
 S-COMA first-touch allocations (``pagecache``), and adaptive-policy
 evaluation points (``decide``).  The driver services the bail with
-ordinary protocol calls, folds the delta mirrors, processes any
-L1-shootdown demotions, and re-enters the walk where it left off.
+ordinary protocol calls, folds the delta mirrors, and re-enters the
+walk at its interleave cursor, just past the bailed reference.
 Bails are rare (hundreds per million references on the paper's
 workloads; decision evaluations are orders of magnitude rarer than
 references), so the walk's speed dominates.
 
-Only systems whose whole residual walk the kernel can express run on
+Only systems whose whole walk the kernel can express run on
 the kernel: the exact stock protocol family (``ccnuma``, ``perfect``,
 ``migrep``, ``rnuma``, ``scoma``, ``rnuma-migrep``, ``ccnuma-dram`` and
 their capacity variants) with homogeneous block caches and stock base
@@ -43,8 +46,6 @@ import os
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.core.ccnuma import CCNUMAProtocol
 from repro.core.dram_cache import DRAMBlockCacheProtocol
 from repro.core.migrep import MigRepProtocol
@@ -57,15 +58,13 @@ from repro.engine._guard import (
     backend_crash_guard,
     engine_run_guard,
 )
-from repro.engine.classify import CLS_FAST, CLS_PROBE, classify_phase
 from repro.engine.kernel.state import (
-    CON_COMPUTE, CON_FAST_UNIT, KernelState, MUT_RESIDUAL,
-    OUT_BLOCK, OUT_CLOCK, OUT_EVAL, OUT_FAULT, OUT_HOME, OUT_I, OUT_MODE,
-    OUT_P,
+    CON_COMPUTE, CON_MAX_LEN, KernelState,
+    OUT_BLOCK, OUT_CLOCK, OUT_EVAL, OUT_FAULT, OUT_HOME, OUT_MODE, OUT_P,
     OUT_PAGE, OUT_SERVICE, OUT_START, OUT_VERSION, OUT_WAIT, OUT_WRITE,
     PP_ACC_CONT, PP_ACC_FAULT, PP_ACC_LOCAL, PP_ACC_PAGEOP, PP_ACC_REMOTE,
-    PP_ACC_UPGRADE, PP_CLOCK, PP_EVICT, PP_FAST, PP_HITS, PP_INVAL,
-    PP_MISS, PP_NODE, PP_PTR, PP_QCUR, PP_QLEN, PP_UPG,
+    PP_ACC_UPGRADE, PP_CLOCK, PP_EVICT, PP_HITS, PP_INVAL, PP_LEN,
+    PP_MISS, PP_NODE, PP_UPG,
     RC_BAIL_COLLAPSE, RC_BAIL_DECIDE, RC_BAIL_FAULT, RC_BAIL_MIGRATE,
     RC_BAIL_PAGECACHE, RC_BAIL_RELOCATE, RC_BAIL_REPLICATE,
     RC_DONE, schedule_arrays,
@@ -92,7 +91,7 @@ _BAIL_NAMES = {RC_BAIL_FAULT: "fault", RC_BAIL_COLLAPSE: "collapse",
 BAIL_KIND_NAMES = ("fault", "collapse", "replicate", "migrate",
                    "relocate", "decide", "pagecache")
 
-#: exact protocol types whose residual walk the C walk transcribes
+#: exact protocol types whose protocol lanes the C walk transcribes
 _KERNEL_PROTOCOLS = (CCNUMAProtocol, MigRepProtocol, RNUMAProtocol,
                      SCOMAProtocol, RNUMAMigRepProtocol,
                      DRAMBlockCacheProtocol)
@@ -162,7 +161,7 @@ def _resolve_backend(forced: str):
 
 
 def run_kernel(machine: "Machine", trace) -> MachineStats:
-    """Run ``trace`` on ``machine`` with the compiled residual kernel.
+    """Run ``trace`` on ``machine`` with the compiled kernel.
 
     Ineligible systems and an unbuildable C walk fall back to the batched
     engine for the whole run; the resulting ``engine_profile`` carries
@@ -213,7 +212,6 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     caches = [procs[p].cache for p in range(num_procs)]
     node_of = [procs[p].node_id for p in range(num_procs)]
     lines_of = [c.num_lines for c in caches]
-    version_of = machine.directory.version
     handle_miss = protocol.handle_miss
     service_remote = protocol._service_remote_page
     note_l1_eviction = protocol.note_l1_eviction
@@ -230,25 +228,19 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     pp = st.pp
     out = st.out
 
-    # page-operation shootdown records, filled by the guard's cache hooks
-    events: dict = {}
-
     prof_total = 0
-    prof_demoted = 0
     bails = 0
     bail_kinds = {name: 0 for name in BAIL_KIND_NAMES}
     run_t0 = perf_counter()
 
-    with engine_run_guard(caches, events):
+    with engine_run_guard():
         for phase in trace.phases:
             blocks_np = phase.blocks
-            writes_np = phase.writes
             if len(blocks_np) != num_procs:
                 raise ValueError(
                     "phase stream count does not match trace.num_procs")
             lengths = [len(seq) for seq in blocks_np]
             compute = phase.compute_per_access
-            fast_unit = compute + l1_hit_cost
 
             max_block = -1
             for arr in blocks_np:
@@ -258,84 +250,21 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                         max_block = m
             st.reserve_for_phase(max_block)
 
-            cls, sched = classify_phase(blocks_np, writes_np, caches,
-                                        version_of, phase=phase)
-            n_sched = len(sched.entries)
-            slot_of = sched.slot_of
-            schedule = schedule_arrays(phase, sched, tuple(lines_of))
+            columns = schedule_arrays(phase)
             prof_total += sum(lengths)
 
-            st.marshal_phase(sched, n_sched)
+            st.marshal_phase()
             st.con[CON_COMPUTE] = compute
-            st.con[CON_FAST_UNIT] = fast_unit
+            st.con[CON_MAX_LEN] = max(lengths, default=0)
             pp[:] = 0
             for p in range(P):
                 pp[PP_NODE * P + p] = node_of[p]
                 pp[PP_CLOCK * P + p] = timing_procs[p].clock
+                pp[PP_LEN * P + p] = lengths[p]
             st.load_absolutes()
 
             with backend_crash_guard(backend_name):
-                st.bind_walk(bind, schedule)
-
-            def demote_pending(i: int, p: int) -> None:
-                """Demote pending fast refs after a page-op L1 shootdown.
-
-                The kernel port of the batched engine's demotion: the
-                affected processors' fast references ordered after
-                ``(i, p)`` become probes again — proven-fast first-touch
-                slots via a status flip, statically-fast
-                references by joining the per-proc demoted queues the
-                walk merges by interleave key.  The queue arrays are
-                rebuilt, so the walk's re-entry sees the new heads.
-                """
-                nonlocal prof_demoted
-                for p2, flushed in events.items():
-                    if p2 >= num_procs:
-                        continue
-                    bound = i + 1 if p2 <= p else i
-                    ptr2 = int(pp[PP_PTR * P + p2])
-                    if bound < ptr2:
-                        bound = ptr2
-                    seg = cls[p2][bound:]
-                    mask = seg == CLS_FAST
-                    if flushed is not True:
-                        # line-membership via a lookup table (cheaper
-                        # than np.isin: no sort, O(seg + lines))
-                        tbl = np.zeros(lines_of[p2], dtype=bool)
-                        tbl[list(flushed)] = True
-                        mask &= tbl[blocks_np[p2][bound:] % lines_of[p2]]
-                    pend = np.flatnonzero(mask)
-                    if not len(pend):
-                        continue
-                    seg[pend] = CLS_PROBE
-                    prof_demoted += len(pend)
-                    own = pend.astype(np.int64) + bound
-                    slots = slot_of[p2][own]
-                    in_sched = slots >= 0
-                    sched_slots = slots[in_sched]
-                    if len(sched_slots):
-                        st.status[p2][sched_slots] = 0
-                    fresh = own[~in_sched]
-                    if len(fresh):
-                        blks = blocks_np[p2][fresh].astype(np.int64,
-                                                           copy=False)
-                        cur = int(pp[PP_QCUR * P + p2])
-                        tail_i = st.q_idx[p2][cur:]
-                        if len(tail_i):
-                            cat_i = np.concatenate([tail_i, fresh])
-                            cat_b = np.concatenate(
-                                [st.q_blk[p2][cur:], blks])
-                            order = np.argsort(cat_i)
-                            st.q_idx[p2] = np.ascontiguousarray(
-                                cat_i[order])
-                            st.q_blk[p2] = np.ascontiguousarray(
-                                cat_b[order])
-                        else:
-                            st.q_idx[p2] = np.ascontiguousarray(fresh)
-                            st.q_blk[p2] = np.ascontiguousarray(blks)
-                        pp[PP_QCUR * P + p2] = 0
-                        pp[PP_QLEN * P + p2] = len(st.q_idx[p2])
-                events.clear()
+                st.bind_walk(bind, columns)
 
             while True:
                 with backend_crash_guard(backend_name):
@@ -351,7 +280,6 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                 st.materialize_placements()
                 st.sync_nics_out()
                 p = int(out[OUT_P])
-                i = int(out[OUT_I])
                 block = int(out[OUT_BLOCK])
                 page = int(out[OUT_PAGE])
                 is_write = bool(out[OUT_WRITE])
@@ -396,8 +324,6 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                             page, node, start)
                     else:
                         pageop = perform_relocation(node, page, start)
-                if events:
-                    demote_pending(i, p)
                 # generic tail: L1 fill + eviction notification
                 cb_p = st.cb[p]
                 cv_p = st.cv[p]
@@ -427,13 +353,9 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                 st.load_nics()
 
             st.flush()
-            # trailing guaranteed hits + per-phase statistics flush
+            # per-phase statistics flush
             for p in range(P):
-                tail = lengths[p] - int(pp[PP_PTR * P + p])
-                if tail:
-                    pp[PP_CLOCK * P + p] += tail * fast_unit
-                    pp[PP_FAST * P + p] += tail
-                n_hits = int(pp[PP_FAST * P + p]) + int(pp[PP_HITS * P + p])
+                n_hits = int(pp[PP_HITS * P + p])
                 pt = timing_procs[p]
                 pt.advance(StallKind.COMPUTE, compute * lengths[p])
                 pt.advance(StallKind.L1_HIT, l1_hit_cost * n_hits)
@@ -458,7 +380,6 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
             machine.timing.barrier(costs.barrier_cost)
             machine.stats.barrier_count += 1
 
-    prof_residual = int(st.mut[MUT_RESIDUAL])
     machine.stats.execution_time = machine.timing.max_clock()
     machine.stats.proc_finish_times = [
         timing_procs[p].clock for p in range(num_procs)
@@ -470,10 +391,12 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     machine.stats.engine_profile = {
         "engine": "kernel",
         "backend": backend_name,
+        # every reference is walked: nothing is resolved ahead of the
+        # walk, so nothing can be demoted back into it
         "references": prof_total,
-        "fast": prof_total - prof_residual,
-        "demoted": prof_demoted,
-        "residual": prof_residual,
+        "fast": 0,
+        "demoted": 0,
+        "residual": prof_total,
         "phases": len(trace.phases),
         "bails": bails,
         "bail_kinds": bail_kinds,

@@ -32,7 +32,7 @@ import numpy as np
 from repro.engine.kernel.state import LAYOUT
 
 _SOURCE = Path(__file__).with_name("cwalk.c")
-_N_ARGS = 52
+_N_ARGS = 44
 
 _loaded = False
 _caller: Optional[Callable] = None
@@ -122,11 +122,10 @@ def load_cwalk() -> Optional[Callable]:
     ``args`` holds the arrays of ``repro_kernel_walk``'s parameter list,
     in order (built by
     :meth:`~repro.engine.kernel.state.KernelState.bind_walk`).  ``bind``
-    flattens the list-of-array arguments into pointer tables once per phase;
-    ``runner() -> rc`` re-enters the walk.  Only the demoted-queue
-    arrays (the last two arguments) can be replaced between re-entries,
-    so the runner refreshes exactly those table slots whose array object
-    changed — everything else keeps its phase-start pointer.
+    flattens the list-of-array arguments into pointer tables once per
+    phase; ``runner() -> rc`` (re-)enters the walk with those pointers,
+    which stay valid for the whole phase: nothing replaces an argument
+    array between re-entries.
     """
     global _loaded, _caller
     if _loaded:
@@ -155,16 +154,8 @@ def load_cwalk() -> Optional[Callable]:
                 c_args.append(tab.ctypes.data)
             else:
                 c_args.append(a.ctypes.data)
-        q_idx, q_blk = args[-2], args[-1]
-        qi_tab, qb_tab = tables[-2], tables[-1]
-        seen = list(q_idx)   # holding the refs makes `is` checks sound
 
         def runner() -> int:
-            for j, arr in enumerate(q_idx):
-                if seen[j] is not arr:
-                    seen[j] = arr
-                    qi_tab[j] = arr.ctypes.data
-                    qb_tab[j] = q_blk[j].ctypes.data
             return fn(*c_args)
 
         # the raw pointers in c_args are only valid while the tables and

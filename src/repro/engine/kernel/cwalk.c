@@ -1,17 +1,21 @@
-/* The compiled residual kernel's walk.
+/* The compiled kernel's walk.
  *
- * The residual walk of repro/engine/batched.py with every Python object
+ * The reference loop of repro/engine/legacy.py with every Python object
  * access replaced by flat-array access on the views built by
- * repro/engine/kernel/state.py.
+ * repro/engine/kernel/state.py.  It walks the phase's own blocks/writes
+ * streams in legacy's round-robin (i, p) order and probes every
+ * reference: a hit touches no shared state, and a page operation's L1
+ * flush needs no repair, since the next probe of a flushed line misses.
  *
- * The walk returns RC_DONE when the phase's schedule and demoted queues
- * are drained, or bails with an RC_BAIL_* code, filling the `out` record,
- * whenever an access needs protocol machinery that only exists in Python:
+ * The walk returns RC_DONE when every stream is exhausted, or bails with
+ * an RC_BAIL_* code, filling the `out` record, whenever an access needs
+ * protocol machinery that only exists in Python:
  * a mapping fault, a write to a replicated page, a fired migration,
  * replication or relocation decision, an S-COMA first-touch allocation,
  * or an adaptive-policy evaluation point.  All bookkeeping lives in the
  * caller-owned arrays, so the caller services the bail with ordinary
- * protocol calls and re-enters; the walk resumes where it left off.
+ * protocol calls and re-enters; the walk resumes at the interleave
+ * cursor mut[MUT_K], which has already moved past the bailed reference.
  *
  * The layout constants (CON_*, FCON_*, PP_*, NN_*, MUT_*, OUT_*, RC_*)
  * are not defined here: cbuild.py generates them from state.py and
@@ -27,7 +31,6 @@
     mut[MUT_K] = k; \
     out[OUT_KIND] = (code); \
     out[OUT_P] = p; \
-    out[OUT_I] = i; \
     out[OUT_BLOCK] = block; \
     out[OUT_PAGE] = page; \
     out[OUT_WRITE] = is_write; \
@@ -160,21 +163,20 @@ int64_t repro_kernel_walk(
     uint8_t** departed, uint8_t** pt_modes,
     uint8_t** pt_tracked, int64_t** pt_faults,
     int64_t** bc_blocks, int64_t** bc_versions, uint8_t** bc_dirty,
-    int64_t** cb, int64_t** cv, uint8_t** cd, uint8_t** status,
-    int64_t* ent_i, int64_t* ent_p, uint8_t* ent_probe, int64_t* ent_blk,
-    uint8_t* ent_wrt, int64_t* ent_slot, int64_t* keys,
+    int64_t** cb, int64_t** cv, uint8_t** cd,
+    int64_t** blocks, uint8_t** writes,
     int64_t** rf_counts, int64_t* pg_totals,
     uint8_t** pc_res, int64_t** pc_version, uint8_t** pc_dirty,
     int64_t** pc_stamp, int64_t** pc_clock, int64_t** pc_nvalid,
     int64_t** pc_ndirty, int64_t** pc_fills,
-    int64_t* place_log, int64_t** q_idx, int64_t** q_blk)
+    int64_t* place_log)
 {
     const int64_t P = con[CON_NUM_PROCS];
     const int64_t N = con[CON_NUM_NODES];
     const int64_t bpp = con[CON_BPP];
     const int64_t compute = con[CON_COMPUTE];
     const int64_t l1_hit_cost = con[CON_L1_HIT];
-    const int64_t fast_unit = con[CON_FAST_UNIT];
+    const int64_t n_keys = con[CON_MAX_LEN] * P;
     const int64_t bus_occ = con[CON_BUS_OCC];
     const int64_t bus_enabled = con[CON_BUS_ENABLED];
     const int64_t local_miss_cost = con[CON_LOCAL_MISS];
@@ -198,7 +200,6 @@ int64_t repro_kernel_walk(
     const int64_t mr_migration = con[CON_MR_MIG];
     const int64_t mr_replication = con[CON_MR_REP];
     const int64_t mr_reset = con[CON_MR_RESET];
-    const int64_t n_sched = con[CON_N_SCHED];
     const int64_t bc_cap = con[CON_BC_CAP];
     const int64_t num_lines = con[CON_NUM_LINES];
     const int64_t replica_code = con[CON_MODE_REPLICA];
@@ -224,61 +225,21 @@ int64_t repro_kernel_walk(
     const double hy_threshold = fcon[FCON_HY_THRESHOLD];
     const double hy_decay = fcon[FCON_HY_DECAY];
 
+    /* the interleave cursor k = i * P + p; (ni, np_) is the reference
+     * it points at */
     int64_t k = mut[MUT_K];
+    int64_t ni = k / P, np_ = k % P;
 
-    /* earliest demoted-queue head; recomputed only on queue consumption */
-    int64_t nk = -1, pq = -1;
-    for (int64_t p2 = 0; p2 < P; p2++) {
-        int64_t c2 = pp[PP_QCUR * P + p2];
-        if (c2 < pp[PP_QLEN * P + p2]) {
-            int64_t key2 = q_idx[p2][c2] * P + p2;
-            if (nk < 0 || key2 < nk) { nk = key2; pq = p2; }
-        }
-    }
-
-    for (;;) {
-        int64_t i, p, probe, block, is_write, slot;
-        if (nk >= 0 && (k >= n_sched || nk < keys[k])) {
-            p = pq;
-            int64_t c = pp[PP_QCUR * P + p];
-            i = q_idx[p][c];
-            block = q_blk[p][c];
-            pp[PP_QCUR * P + p] = c + 1;
-            probe = 1;
-            is_write = 0;
-            slot = -1;
-            nk = -1; pq = -1;
-            for (int64_t p2 = 0; p2 < P; p2++) {
-                int64_t c2 = pp[PP_QCUR * P + p2];
-                if (c2 < pp[PP_QLEN * P + p2]) {
-                    int64_t key2 = q_idx[p2][c2] * P + p2;
-                    if (nk < 0 || key2 < nk) { nk = key2; pq = p2; }
-                }
-            }
-        } else if (k < n_sched) {
-            i = ent_i[k];
-            p = ent_p[k];
-            probe = ent_probe[k];
-            block = ent_blk[k];
-            is_write = ent_wrt[k];
-            slot = ent_slot[k];
-            k += 1;
-            if (status[p][slot])
-                continue;    /* proven-fast first touch: consumed via ptr */
-        } else {
-            break;
-        }
-        mut[MUT_RESIDUAL] += 1;
-
-        /* consume the guaranteed hits since this proc's last residual */
-        int64_t n_fast = i - pp[PP_PTR * P + p];
-        int64_t base = pp[PP_CLOCK * P + p];
-        if (n_fast > 0) {
-            base += n_fast * fast_unit;
-            pp[PP_FAST * P + p] += n_fast;
-        }
-        pp[PP_PTR * P + p] = i + 1;
-        int64_t clock = base + compute;
+    while (k < n_keys) {
+        const int64_t i = ni, p = np_;
+        /* move past this reference before it can bail */
+        k += 1;
+        if (++np_ == P) { np_ = 0; ni += 1; }
+        if (i >= pp[PP_LEN * P + p])
+            continue;
+        const int64_t block = blocks[p][i];
+        const int64_t is_write = writes[p][i];
+        int64_t clock = pp[PP_CLOCK * P + p] + compute;
         int64_t node = pp[PP_NODE * P + p];
         int64_t* cb_p = cb[p];
         int64_t* cv_p = cv[p];
@@ -286,7 +247,7 @@ int64_t repro_kernel_walk(
         int64_t idx = block % num_lines;
         int64_t version, service, extra, contention;
 
-        if (probe && cb_p[idx] == block) {
+        if (cb_p[idx] == block) {
             version = dir_versions[block];
             if (cv_p[idx] >= version) {
                 if (!is_write) {
@@ -343,7 +304,7 @@ int64_t repro_kernel_walk(
             pp[PP_INVAL * P + p] += 1;
         }
 
-        /* miss path (classified miss, absent line, or stale drop) */
+        /* miss path (absent line or stale drop) */
         pp[PP_MISS * P + p] += 1;
         int64_t page = block / bpp;
         int64_t start, wait;

@@ -1,8 +1,8 @@
 """State marshalling between the simulator's stores and the kernel walk.
 
-The compiled residual kernel executes one phase's
-:class:`~repro.engine.classify.ResidualSchedule` against flat integer
-arrays.  This module builds those arrays — **views, not copies** — over
+The compiled kernel walks one phase's reference streams (see
+:func:`schedule_arrays`) against flat integer arrays.  This module
+builds those arrays — **views, not copies** — over
 the simulator's live buffer-backed stores (the directory columns, the
 page map, the page tables' mode bytes, the block-cache frames, the L1
 line stores and the MigRep counter columns), together with the small
@@ -62,19 +62,19 @@ _MAPPING_FAULT = FaultKind.MAPPING_FAULT
 
 #: CON — immutable run/phase constants (int64).
 (CON_NUM_PROCS, CON_NUM_NODES, CON_BPP, CON_COMPUTE, CON_L1_HIT,
- CON_FAST_UNIT, CON_BUS_OCC, CON_BUS_ENABLED, CON_LOCAL_MISS,
+ CON_MAX_LEN, CON_BUS_OCC, CON_BUS_ENABLED, CON_LOCAL_MISS,
  CON_REMOTE_MISS, CON_INVAL_COST, CON_NET_ENABLED, CON_NET_LATENCY,
  CON_NIC_OCC, CON_SZ_READ_PAIR, CON_SZ_WRITE_PAIR, CON_SZ_WB,
  CON_SZ_INV_PAIR, CON_MSG_READ, CON_MSG_WRITE, CON_MSG_DATA, CON_MSG_WB,
  CON_MSG_INV, CON_MSG_ACK, CON_HAS_MIGREP, CON_MR_THRESHOLD, CON_MR_MIG,
- CON_MR_REP, CON_MR_RESET, CON_DIR_CAP, CON_VM_LEN, CON_N_SCHED,
+ CON_MR_REP, CON_MR_RESET, CON_DIR_CAP, CON_VM_LEN,
  CON_BC_CAP, CON_NUM_LINES, CON_MODE_REPLICA, CON_MODE_LOCAL_HOME,
  CON_DEP_EVICTED, CON_DEP_INVALIDATED, CON_SOFT_TRAP, CON_MSG_MAP_REQ,
  CON_MSG_MAP_REPLY, CON_SZ_MAP_PAIR, CON_MODE_CCNUMA_REMOTE,
  CON_FIRST_TOUCH, CON_HAS_RNUMA, CON_RN_STATIC, CON_RN_THRESHOLD,
  CON_RN_DELAY, CON_HAS_PAGECACHE, CON_SCOMA_ALLOC, CON_HYBRID,
- CON_MR_STATIC, CON_BC_PENALTY, CON_MR_HYST) = range(54)
-CON_SIZE = 56
+ CON_MR_STATIC, CON_BC_PENALTY, CON_MR_HYST) = range(53)
+CON_SIZE = 53
 
 #: FCON — float64 run constants (the int64 ``con`` array cannot carry
 #: the hysteresis policy's fractional threshold and decay factor).
@@ -82,11 +82,11 @@ CON_SIZE = 56
 FCON_SIZE = 2
 
 #: PP — per-processor bookkeeping rows of the flat ``pp`` array
-#: (``pp[row * num_procs + p]``).
-(PP_PTR, PP_FAST, PP_HITS, PP_UPG, PP_MISS, PP_INVAL, PP_EVICT,
+#: (``pp[row * num_procs + p]``); ``PP_LEN`` is the stream length.
+(PP_LEN, PP_HITS, PP_UPG, PP_MISS, PP_INVAL, PP_EVICT,
  PP_ACC_LOCAL, PP_ACC_REMOTE, PP_ACC_UPGRADE, PP_ACC_PAGEOP, PP_ACC_FAULT,
- PP_ACC_CONT, PP_CLOCK, PP_NODE, PP_QCUR, PP_QLEN) = range(17)
-PP_ROWS = 17
+ PP_ACC_CONT, PP_CLOCK, PP_NODE) = range(14)
+PP_ROWS = 14
 
 #: NN — per-node mirror rows of the flat ``nn`` array
 #: (``nn[row * num_nodes + n]``).  ``*_FREE`` rows are absolute times;
@@ -99,16 +99,17 @@ PP_ROWS = 17
  NN_RF_TOTAL) = range(25)
 NN_ROWS = 25
 
-#: MUT — mutable walk scalars surviving across bails within a phase.
+#: MUT — mutable walk scalars surviving across bails within a phase;
+#: ``MUT_K`` is the interleave cursor ``i * num_procs + p``.
 (MUT_K, MUT_BYTES, MUT_DIR_INV, MUT_DIR_WB, MUT_CTR_RESETS,
- MUT_RESIDUAL, MUT_NPLACED) = range(7)
-MUT_SIZE = 8
+ MUT_NPLACED) = range(6)
+MUT_SIZE = 6
 
 #: OUT — the bail record the walk fills before returning.
-(OUT_KIND, OUT_P, OUT_I, OUT_BLOCK, OUT_PAGE, OUT_WRITE, OUT_START,
+(OUT_KIND, OUT_P, OUT_BLOCK, OUT_PAGE, OUT_WRITE, OUT_START,
  OUT_WAIT, OUT_CLOCK, OUT_HOME, OUT_MODE, OUT_SERVICE,
- OUT_VERSION, OUT_FAULT, OUT_EVAL) = range(15)
-OUT_SIZE = 16
+ OUT_VERSION, OUT_FAULT, OUT_EVAL) = range(14)
+OUT_SIZE = 14
 
 #: Walk return codes.
 RC_DONE = 0            #: phase complete
@@ -141,44 +142,22 @@ def _f64(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64)
 
 
-def schedule_arrays(phase, sched, geom_key):
-    """Flat int64/uint8 columns of ``sched.entries`` (cached on the phase).
+def schedule_arrays(phase):
+    """One phase's walk columns: ``(blocks, writes)``, one array per proc.
 
-    The entry tuples depend only on the streams and the cache geometry,
-    so the conversion is done once per (phase, geometry) and reused by
-    every later kernel run of the trace in the process.
+    Zero-copy for every :class:`~repro.workloads.trace.PhaseTrace`, whose
+    streams are C-contiguous int64 block ids and bool write flags: the
+    blocks are the phase's own arrays and the flags are viewed as uint8,
+    so a phase of an ``.rpt`` file is walked straight off its mmap.
     """
-    cache = getattr(phase, "__dict__", {}).get("_kernel_sched")
-    if cache is not None:
-        hit = cache.get(geom_key)
-        if hit is not None:
-            return hit
-    n = len(sched.entries)
-    if n:
-        cols = np.array(sched.entries, dtype=np.int64)
-        arrs = (np.ascontiguousarray(cols[:, 0]),                  # i
-                np.ascontiguousarray(cols[:, 1]),                  # p
-                np.ascontiguousarray(cols[:, 2]).astype(np.uint8),  # probe
-                np.ascontiguousarray(cols[:, 3]),                  # block
-                np.ascontiguousarray(cols[:, 4]).astype(np.uint8),  # write
-                np.ascontiguousarray(cols[:, 5]),                  # slot
-                np.asarray(sched.keys, dtype=np.int64))
-    else:
-        e64 = np.empty(0, dtype=np.int64)
-        e8 = np.empty(0, dtype=np.uint8)
-        arrs = (e64, e64, e8, e64, e8, e64, e64)
-    if cache is None:
-        try:
-            cache = phase.__dict__.setdefault("_kernel_sched", {})
-        except (AttributeError, TypeError):  # pragma: no cover
-            cache = None
-    if cache is not None:
-        cache[geom_key] = arrs
-    return arrs
+    blocks = [np.ascontiguousarray(b, dtype=np.int64) for b in phase.blocks]
+    writes = [np.ascontiguousarray(w, dtype=np.bool_).view(np.uint8)
+              for w in phase.writes]
+    return blocks, writes
 
 
 class KernelState:
-    """One phase's marshalled state: store views, mirrors and schedule.
+    """One phase's marshalled state: store views and mirrors.
 
     The views are taken per phase (store buffers may have grown between
     phases, moving the underlying memory); :meth:`release` must be
@@ -308,15 +287,10 @@ class KernelState:
         self.msg_delta = np.zeros(len(net.stats._counts), dtype=np.int64)
         self.out = np.zeros(OUT_SIZE, dtype=np.int64)
 
-        # empty demoted queues (replaced by the driver after demotions)
-        empty = np.empty(0, dtype=np.int64)
-        self.q_idx = [empty] * num_procs
-        self.q_blk = [empty] * num_procs
-
         # first-touch placements performed inside the walk, encoded as
         # ``page << 6 | node`` (eligibility caps nodes at 62); their
         # PageRecords are materialized lazily by materialize_placements
-        self.place_log = empty
+        self.place_log = np.empty(0, dtype=np.int64)
 
         # store views — taken per phase (see marshal_phase) — and the
         # backend runner bound over them (see bind_walk)
@@ -358,7 +332,7 @@ class KernelState:
         if len(self.place_log) < max_page + 1:
             self.place_log = np.empty(max_page + 1, dtype=np.int64)
 
-    def marshal_phase(self, sched, n_sched: int) -> None:
+    def marshal_phase(self) -> None:
         """Take the zero-copy store views for one phase's walk."""
         machine = self.machine
         directory = machine.directory
@@ -385,7 +359,6 @@ class KernelState:
             self.cb.append(_i64(blocks_l))
             self.cv.append(_i64(versions_l))
             self.cd.append(_u8(dirty_l))
-        self.status = [_u8(s) for s in sched.status]
         if self.counters is not None:
             c = self.counters
             self.ctr_read = _i64(c._read)
@@ -437,19 +410,14 @@ class KernelState:
             self.pc_fills = [e64] * N
         self.con[CON_DIR_CAP] = len(self.dir_sharers)
         self.con[CON_VM_LEN] = len(self.vm_home)
-        self.con[CON_N_SCHED] = n_sched
         self.mut[MUT_K] = 0
-        empty = self.q_idx[0][:0]
-        for p in range(self.num_procs):
-            self.q_idx[p] = empty
-            self.q_blk[p] = empty
 
-    def bind_walk(self, bind, schedule) -> None:
+    def bind_walk(self, bind, columns) -> None:
         """Bind the C walk to this phase's views as :attr:`runner`.
 
         ``bind`` is :func:`repro.engine.kernel.cbuild.load_cwalk`'s
-        binder and ``schedule`` the phase's :func:`schedule_arrays`
-        columns; the tuple passed is ``repro_kernel_walk``'s parameter
+        binder and ``columns`` the phase's :func:`schedule_arrays`
+        streams; the tuple passed is ``repro_kernel_walk``'s parameter
         list.  The runner pins every argument (the walk holds raw
         pointers into them), so it lives here and :meth:`release` drops
         it together with the views.
@@ -465,12 +433,10 @@ class KernelState:
             self.hy_scores, self.hy_seen,
             self.departed, self.pt_modes, self.pt_tracked, self.pt_faults,
             self.bc_blocks, self.bc_versions, self.bc_dirty,
-            self.cb, self.cv, self.cd, self.status,
-            *schedule,
+            self.cb, self.cv, self.cd, *columns,
             self.rf_counts, self.pg_totals, self.pc_res, self.pc_version,
             self.pc_dirty, self.pc_stamp, self.pc_clock, self.pc_nvalid,
-            self.pc_ndirty, self.pc_fills,
-            self.place_log, self.q_idx, self.q_blk))
+            self.pc_ndirty, self.pc_fills, self.place_log))
 
     def release(self) -> None:
         """Drop the runner and the store views (their export locks)."""
@@ -480,7 +446,7 @@ class KernelState:
         self.vm_home = self.vm_replicated = self.vm_replica_mask = None
         self.pt_modes = self.pt_tracked = self.pt_faults = None
         self.bc_blocks = self.bc_versions = None
-        self.bc_dirty = self.cb = self.cv = self.cd = self.status = None
+        self.bc_dirty = self.cb = self.cv = self.cd = None
         self.ctr_read = self.ctr_write = self.ctr_since = None
         self.ctr_live_r = self.ctr_live_w = None
         self.hy_scores = self.hy_seen = None

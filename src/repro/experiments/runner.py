@@ -63,7 +63,6 @@ warm store shared by every client.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 import pickle
@@ -83,8 +82,6 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.config import SimulationConfig, base_config

@@ -32,7 +32,7 @@ from repro.workloads.trace import PhaseTrace, Trace
 from repro.workloads.tracefile import open_trace
 
 from helpers import make_simple_spec, make_trace, require_c_backend
-from test_engine_equivalence import fingerprint
+from test_engine_equivalence import draw_phases, fingerprint
 
 #: adaptive / mixed-policy variants layered over the stock systems
 POLICY_VARIANTS = {
@@ -195,21 +195,8 @@ class TestRandomLaneTraces:
         # few distinct blocks spread over many pages: high page-cache
         # pressure and recurring capacity refetches on the same pages
         num_blocks = data.draw(st.integers(16, 160))
-        phases = []
-        for pi in range(data.draw(st.integers(1, 3))):
-            blocks, writes = [], []
-            for p in range(num_procs):
-                n = data.draw(st.integers(0, 80))
-                blocks.append(np.array(
-                    data.draw(st.lists(st.integers(0, num_blocks - 1),
-                                       min_size=n, max_size=n)),
-                    dtype=np.int64))
-                writes.append(np.array(
-                    data.draw(st.lists(st.integers(0, 1),
-                                       min_size=n, max_size=n)),
-                    dtype=np.int8))
-            phases.append(PhaseTrace(name=f"ph{pi}", compute_per_access=2,
-                                     blocks=blocks, writes=writes))
+        phases = draw_phases(data, num_procs, num_blocks, max_phases=3,
+                             max_len=80)
         trace = Trace(name="random-lanes", num_procs=num_procs,
                       phases=phases)
         system = data.draw(st.sampled_from(self.SYSTEMS))
@@ -237,6 +224,23 @@ def streamed_rpt(tmp_path_factory):
                              block_size=64, page_size=512, phase_refs=1000)
 
 
+def _assert_engines_agree(system, trace, monkeypatch):
+    """legacy, batched and the C walk agree on ``trace`` under the harsh
+    configuration, and the kernel run really ran compiled."""
+    require_c_backend()
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
+    cfg = _harsh_config()
+    fps = {}
+    for engine in ("legacy", "batched", "kernel"):
+        machine = Machine(cfg, build_system(system))
+        stats = machine.run(trace, engine=engine)
+        fps[engine] = fingerprint(machine, stats)
+    prof = stats.engine_profile
+    assert prof["engine"] == "kernel", prof.get("fallback_reason")
+    assert fps["batched"] == fps["legacy"]
+    assert fps["kernel"] == fps["legacy"]
+
+
 class TestStoreGrowth:
     """Phases that must grow a store after an earlier phase's walk.
 
@@ -245,20 +249,6 @@ class TestStoreGrowth:
     grow a buffer (``BufferError``).  Each shape runs every stock system
     on legacy, batched and the C walk and asserts all three agree.
     """
-
-    def _assert_engines_agree(self, system, trace, monkeypatch):
-        require_c_backend()
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
-        cfg = _harsh_config()
-        fps = {}
-        for engine in ("legacy", "batched", "kernel"):
-            machine = Machine(cfg, build_system(system))
-            stats = machine.run(trace, engine=engine)
-            fps[engine] = fingerprint(machine, stats)
-        prof = stats.engine_profile
-        assert prof["engine"] == "kernel", prof.get("fallback_reason")
-        assert fps["batched"] == fps["legacy"]
-        assert fps["kernel"] == fps["legacy"]
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_empty_first_phase(self, system, monkeypatch):
@@ -270,7 +260,7 @@ class TestStoreGrowth:
                              [k % 3 == 0 for k in range(16)])
                             for p in range(4)]),
         ])
-        self._assert_engines_agree(system, trace, monkeypatch)
+        _assert_engines_agree(system, trace, monkeypatch)
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_later_phase_touches_new_pages(self, system, monkeypatch):
@@ -283,7 +273,7 @@ class TestStoreGrowth:
                              [k % 5 == 0 for k in range(24)])
                             for p in range(4)]),
         ])
-        self._assert_engines_agree(system, trace, monkeypatch)
+        _assert_engines_agree(system, trace, monkeypatch)
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_imported_trace_streams_over_new_pages(self, system,
@@ -292,4 +282,41 @@ class TestStoreGrowth:
         """Every phase reaches past the stores' growth slack."""
         trace = open_trace(streamed_rpt)
         assert len(trace.phases) == 4
-        self._assert_engines_agree(system, trace, monkeypatch)
+        _assert_engines_agree(system, trace, monkeypatch)
+
+
+class TestCursorShapes:
+    """Stream lengths the walk's interleave cursor must step over.
+
+    The walk visits ``(i, p)`` in legacy's round-robin order up to the
+    phase's longest stream and skips exhausted streams; these phases
+    leave most of that grid empty.  A full phase follows, so the other
+    processors then touch what the lone stream placed and wrote.
+    """
+
+    @staticmethod
+    def _trace(name, shaped):
+        full = _phase("full", [([(p * 7 + k * 3) % 48 for k in range(24)],
+                                [k % 4 == p % 4 for k in range(24)])
+                               for p in range(4)])
+        return Trace(name=name, num_procs=4, phases=[shaped, full])
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_only_the_last_processor_has_references(self, system,
+                                                    monkeypatch):
+        shaped = _phase("last-only", [([], [])] * 3 + [
+            ([(k * 5) % 48 for k in range(40)],
+             [k % 3 == 0 for k in range(40)])])
+        _assert_engines_agree(system, self._trace("last-only", shaped),
+                              monkeypatch)
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_stream_lengths_0_1_2_50(self, system, monkeypatch):
+        shaped = _phase("uneven", [
+            ([], []),
+            ([9], [1]),
+            ([9, 17], [0, 1]),
+            ([(k * 11) % 48 for k in range(50)],
+             [k % 5 == 0 for k in range(50)])])
+        _assert_engines_agree(system, self._trace("uneven", shaped),
+                              monkeypatch)

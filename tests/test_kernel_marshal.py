@@ -14,12 +14,12 @@ import pytest
 
 from repro.cluster.machine import Machine
 from repro.core.factory import build_system
-from repro.engine.classify import classify_phase
 from repro.engine.kernel import cbuild
 from repro.engine.kernel.state import (
     CON_BPP, LAYOUT, NN_NIC_FREE, KernelState, schedule_arrays)
 from repro.mem.page_table import MODE_CODES, PageMode
-from repro.workloads.trace import PhaseTrace
+from repro.workloads.trace import PhaseTrace, Trace
+from repro.workloads.tracefile import open_trace, write_trace_file
 
 
 @pytest.fixture
@@ -35,21 +35,16 @@ def kstate(machine):
     return KernelState(machine, num_procs, caches, node_of)
 
 
-def _marshal(machine, kstate, max_block=63):
-    """Reserve and marshal one small phase; return its schedule."""
+def _marshal(kstate, max_block=63):
+    """Reserve and marshal one small phase."""
     kstate.reserve_for_phase(max_block)
-    blocks = [np.asarray([1, 2, 1], dtype=np.int64)] * kstate.num_procs
-    writes = [np.asarray([False, False, False])] * kstate.num_procs
-    cls, sched = classify_phase(blocks, writes, kstate.caches,
-                                machine.directory.version)
-    kstate.marshal_phase(sched, len(sched.entries))
-    return sched
+    kstate.marshal_phase()
 
 
 class TestZeroCopyViews:
     def test_store_views_share_memory(self, machine, kstate):
         """Every store view aliases the owner's buffer — no copies."""
-        _marshal(machine, kstate)
+        _marshal(kstate)
         vm = machine.vm
         directory = machine.directory
         pairs = [
@@ -73,14 +68,14 @@ class TestZeroCopyViews:
             assert np.shares_memory(view, owner)
 
     def test_object_writes_visible_through_views(self, machine, kstate):
-        _marshal(machine, kstate)
+        _marshal(kstate)
         machine.vm.ensure_placed(3, 1)
         assert kstate.vm_home[3] == 1
         machine.page_tables[2].map_page(5, PageMode.LOCAL_HOME)
         assert kstate.pt_modes[2][5] == MODE_CODES[PageMode.LOCAL_HOME]
 
     def test_view_writes_visible_through_objects(self, machine, kstate):
-        _marshal(machine, kstate)
+        _marshal(kstate)
         kstate.vm_home[4] = 2
         assert machine.vm.home_of(4) == 2
         kstate.pt_modes[1][6] = MODE_CODES[PageMode.CCNUMA_REMOTE]
@@ -89,7 +84,7 @@ class TestZeroCopyViews:
         assert machine.page_tables[1].entry(6).faults == 7
 
     def test_l1_line_views_share_memory(self, machine, kstate):
-        _marshal(machine, kstate)
+        _marshal(kstate)
         blocks_l, versions_l, dirty_l = kstate.caches[0].line_state()
         assert np.shares_memory(
             kstate.cb[0], np.frombuffer(blocks_l, dtype=np.int64))
@@ -100,14 +95,14 @@ class TestZeroCopyViews:
 class TestExportLocks:
     def test_growth_raises_while_views_live(self, machine, kstate):
         """In-place store growth must fail loudly, not dangle pointers."""
-        _marshal(machine, kstate)
+        _marshal(kstate)
         with pytest.raises(BufferError):
             machine.vm.reserve(100_000)
         with pytest.raises(BufferError):
             machine.page_tables[0].reserve(100_000)
 
     def test_release_drops_locks(self, machine, kstate):
-        _marshal(machine, kstate)
+        _marshal(kstate)
         kstate.release()
         machine.vm.reserve(100_000)
         assert machine.vm.home_of(99_999) is None
@@ -121,7 +116,7 @@ class TestExportLocks:
             runner.keepalive = args
             return runner
 
-        _marshal(machine, kstate)
+        _marshal(kstate)
         kstate.bind_walk(bind, ())
         kstate.release()
         assert kstate.runner is None
@@ -132,7 +127,7 @@ class TestExportLocks:
         """Bail-time page operations touch every block of a page, so the
         reserve must cover the phase's maxima rounded up to pages."""
         max_block = 63
-        _marshal(machine, kstate, max_block=max_block)
+        _marshal(kstate, max_block=max_block)
         bpp = int(kstate.con[CON_BPP])
         max_page = max_block // bpp
         assert len(kstate.vm_home) >= max_page + 1
@@ -143,7 +138,7 @@ class TestExportLocks:
 
 class TestMirrors:
     def test_nic_sync_roundtrip(self, machine, kstate):
-        _marshal(machine, kstate)
+        _marshal(kstate)
         kstate.load_absolutes()
         N = kstate.num_nodes
         kstate.nn[NN_NIC_FREE * N + 1] = 1234
@@ -155,21 +150,25 @@ class TestMirrors:
 
 
 class TestScheduleArrays:
-    def test_cached_per_phase_and_geometry(self, machine, kstate):
-        blocks = [np.asarray([1, 1, 2], dtype=np.int64)]
-        writes = [np.asarray([True, False, False])]
-        phase = PhaseTrace(name="p", compute_per_access=1,
-                           blocks=blocks, writes=writes)
-        cls, sched = classify_phase(blocks, writes, [kstate.caches[0]],
-                                    machine.directory.version)
-        first = schedule_arrays(phase, sched, geom_key=(4,))
-        again = schedule_arrays(phase, sched, geom_key=(4,))
-        assert first is again
-        other = schedule_arrays(phase, sched, geom_key=(8,))
-        assert other is not first
-        ent_i, ent_p, ent_probe, ent_blk, ent_wrt, ent_slot, keys = first
-        assert list(keys) == list(sched.keys)
-        assert len(ent_i) == len(sched.entries)
+    def test_columns_share_the_phase_streams(self, tmp_path):
+        """The walk reads each phase's own streams, also off an ``.rpt``
+        mmap: the blocks as they are, the write flags as uint8."""
+        phase = PhaseTrace(
+            name="p", compute_per_access=1,
+            blocks=[np.asarray([1, 1, 2], dtype=np.int64),
+                    np.asarray([], dtype=np.int64)],
+            writes=[np.asarray([True, False, True]),
+                    np.asarray([], dtype=bool)])
+        path = write_trace_file(
+            Trace(name="t", num_procs=2, phases=[phase]), tmp_path / "t.rpt")
+        for ph in (phase, open_trace(path).phases[0]):
+            blocks, writes = schedule_arrays(ph)
+            assert [b.dtype for b in blocks] == [np.int64] * 2
+            assert [w.dtype for w in writes] == [np.uint8] * 2
+            assert np.shares_memory(blocks[0], ph.blocks[0])
+            assert np.shares_memory(writes[0], ph.writes[0])
+            assert writes[0].tolist() == [1, 0, 1]
+            assert [len(b) for b in blocks] == [3, 0]
 
 
 class TestGeneratedLayout:
