@@ -116,9 +116,8 @@ class MigRepProtocol(CCNUMAProtocol):
     def _evaluate_policy(self, page: int, node: int, home: int, now: int) -> int:
         """Run the MigRep decision policy; return any page-op cycles incurred."""
         # equivalent to `node in self.vm.replicas_of(page)` without the
-        # per-miss set copy that replicas_of() makes
-        rec = self._vm_pages.get(page)
-        is_replica_request = rec is not None and node in rec.replicas
+        # per-miss set that replicas_of() builds (the page is placed)
+        is_replica_request = bool(self._vm_replica_mask[page] >> node & 1)
         decision = self.policy.evaluate(self.counters, page, node, home,
                                         is_replica_request=is_replica_request)
         if decision is MigRepDecision.REPLICATE:
@@ -135,9 +134,9 @@ class MigRepProtocol(CCNUMAProtocol):
         pageop = 0
 
         # Writes to a replicated page fault and collapse the replicas first
-        # (inlined vm.is_replicated on the pre-bound page map).
-        rec = self._vm_pages.get(page)
-        if is_write and rec is not None and rec.replicated:
+        # (inlined vm.is_replicated on the pre-bound flag column; the page
+        # is placed).
+        if is_write and self._vm_replicated[page]:
             pageop += self._collapse_replicas(page, node, now)
             mode = self.page_tables[node].mode_of(page)
             home = self.vm.home_of(page) or home
@@ -174,13 +173,11 @@ class MigRepProtocol(CCNUMAProtocol):
             else:
                 counters._since[page] = total
             # inlined MigRepPolicy.evaluate (node != home on this path;
-            # replica holders trigger no further operation).  `rec` from
-            # the entry of this method is still the live record: page
-            # operations mutate records in place, never replace them.
+            # replica holders trigger no further operation).
             # Reset-to-zero rows read the same as never-recorded rows for
             # every comparison here (all strict > on non-negative counts),
             # so the live flags need no consulting.
-            if rec is None or node not in rec.replicas:
+            if not self._vm_replica_mask[page] >> node & 1:
                 if not self._mr_static:
                     # the guard above already established this is not a
                     # replica request; dispatch the decision directly

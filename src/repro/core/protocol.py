@@ -115,8 +115,9 @@ class DSMProtocol:
         # arrays strictly in place, so the aliases stay valid for the
         # machine's lifetime.  They only skip attribute traversal and
         # wrapper calls on the hottest path.
-        self._vm_pages = machine.vm._pages
         self._vm_home = machine.vm._home
+        self._vm_replicated = machine.vm._replicated
+        self._vm_replica_mask = machine.vm._replica_mask
         self._pt_modes = [pt._modes for pt in machine.page_tables]
         directory = machine.directory
         self._dir_sharers = directory._sharers

@@ -122,8 +122,7 @@ class RNUMAMigRepProtocol(RNUMAProtocol):
         pc = self.page_caches[node]
         if pc is not None and pc.contains(page):
             return 0
-        rec = self._vm_pages.get(page)
-        is_replica_request = rec is not None and node in rec.replicas
+        is_replica_request = bool(self._vm_replica_mask[page] >> node & 1)
         decision = self.migrep_policy.evaluate(
             self.migrep_counters, page, node, home,
             is_replica_request=is_replica_request)
@@ -163,8 +162,8 @@ class RNUMAMigRepProtocol(RNUMAProtocol):
     def _local_fill(self, node: int, block: int, is_write: bool) -> Tuple[int, int]:
         latency, version = super()._local_fill(node, block, is_write)
         page = block // self._bpp
-        rec = self._vm_pages.get(page)
-        if rec is not None and rec.home == node:
+        vm_home = self._vm_home
+        if page < len(vm_home) and vm_home[page] == node:
             self._record_migrep_miss(page, node, is_write)
         return latency, version
 

@@ -66,8 +66,7 @@ from repro.engine.kernel.state import (
     PP_ACC_UPGRADE, PP_CLOCK, PP_EVICT, PP_HITS, PP_INVAL, PP_LEN,
     PP_MISS, PP_NODE, PP_UPG,
     RC_BAIL_COLLAPSE, RC_BAIL_DECIDE, RC_BAIL_FAULT, RC_BAIL_MIGRATE,
-    RC_BAIL_PAGECACHE, RC_BAIL_RELOCATE, RC_BAIL_REPLICATE,
-    RC_DONE, schedule_arrays,
+    RC_BAIL_PAGECACHE, RC_BAIL_RELOCATE, RC_DONE, schedule_arrays,
 )
 from repro.mem.page_table import MODES_BY_CODE
 from repro.stats.counters import MachineStats
@@ -83,11 +82,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 _BAIL_NAMES = {RC_BAIL_FAULT: "fault", RC_BAIL_COLLAPSE: "collapse",
-               RC_BAIL_REPLICATE: "replicate", RC_BAIL_MIGRATE: "migrate",
-               RC_BAIL_RELOCATE: "relocate", RC_BAIL_DECIDE: "decide",
-               RC_BAIL_PAGECACHE: "pagecache"}
+               RC_BAIL_MIGRATE: "migrate", RC_BAIL_RELOCATE: "relocate",
+               RC_BAIL_DECIDE: "decide", RC_BAIL_PAGECACHE: "pagecache"}
 
-#: stable key set of the ``bail_kinds`` dict in ``engine_profile``
+#: stable key set of the ``bail_kinds`` dict in ``engine_profile``; the
+#: walk replicates in place, so ``replicate`` always reads 0
 BAIL_KIND_NAMES = ("fault", "collapse", "replicate", "migrate",
                    "relocate", "decide", "pagecache")
 
@@ -273,11 +272,9 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                     break
                 bails += 1
                 bail_kinds[_BAIL_NAMES[rc]] += 1
-                # the bail handlers read/advance the live NICs and may
-                # consult the vm's record dict; every other mirror is
-                # either a shared view (already exact) or a
-                # pure-increment delta (folded at phase end)
-                st.materialize_placements()
+                # the bail handlers read/advance the live NICs; every
+                # other mirror is either a shared view (already exact)
+                # or a pure-increment delta (folded at phase end)
                 st.sync_nics_out()
                 p = int(out[OUT_P])
                 block = int(out[OUT_BLOCK])
@@ -312,14 +309,13 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                             page, node, int(out[OUT_HOME]), start)
                 else:
                     # the walk completed the fill; run the page operation
+                    # it could not: a relocation that must evict first,
+                    # or a migration vm.migrate refuses
                     service = int(out[OUT_SERVICE])
                     version = int(out[OUT_VERSION])
                     remote = True
                     fault = int(out[OUT_FAULT])
-                    if rc == RC_BAIL_REPLICATE:
-                        pageop = protocol._perform_replication(
-                            page, node, start)
-                    elif rc == RC_BAIL_MIGRATE:
+                    if rc == RC_BAIL_MIGRATE:
                         pageop = protocol._perform_migration(
                             page, node, start)
                     else:

@@ -32,7 +32,7 @@ import numpy as np
 from repro.engine.kernel.state import LAYOUT
 
 _SOURCE = Path(__file__).with_name("cwalk.c")
-_N_ARGS = 44
+_N_ARGS = 51
 
 _loaded = False
 _caller: Optional[Callable] = None

@@ -7,15 +7,22 @@
  * reference: a hit touches no shared state, and a page operation's L1
  * flush needs no repair, since the next probe of a flushed line misses.
  *
+ * Fired static R-NUMA relocations and fired static or hysteresis MigRep
+ * replications and migrations run here too: each page operation is a
+ * flush, a transfer and a remap on the same arrays (see the page
+ * operations below), so the walk keeps walking.
+ *
  * The walk returns RC_DONE when every stream is exhausted, or bails with
  * an RC_BAIL_* code, filling the `out` record, whenever an access needs
- * protocol machinery that only exists in Python:
- * a mapping fault, a write to a replicated page, a fired migration,
- * replication or relocation decision, an S-COMA first-touch allocation,
- * or an adaptive-policy evaluation point.  All bookkeeping lives in the
- * caller-owned arrays, so the caller services the bail with ordinary
- * protocol calls and re-enters; the walk resumes at the interleave
- * cursor mut[MUT_K], which has already moved past the bailed reference.
+ * protocol machinery that only exists in Python: a mapping fault under a
+ * placement policy, a write to a replicated page (collapse), a fired
+ * relocation on a full page cache (it needs an eviction), a fired
+ * migration of a replicated page (vm.migrate raises), an S-COMA
+ * first-touch allocation, or an adaptive-policy evaluation point.  All
+ * bookkeeping lives in the caller-owned arrays, so the caller services
+ * the bail with ordinary protocol calls and re-enters; the walk resumes
+ * at the interleave cursor mut[MUT_K], which has already moved past the
+ * bailed reference.
  *
  * The layout constants (CON_*, FCON_*, PP_*, NN_*, MUT_*, OUT_*, RC_*)
  * are not defined here: cbuild.py generates them from state.py and
@@ -151,25 +158,267 @@
     } \
 } while (0)
 
+/* ---- page operations ----
+ *
+ * The state a page operation touches, bundled for the routines below.
+ * Each routine transcribes its Python counterpart step for step, so the
+ * arrays and the delta rows end exactly where the Python operation
+ * leaves the objects. */
+typedef struct {
+    const int64_t* con;
+    int64_t *mut, *pp, *nn, *msg_delta;
+    int64_t *dir_sharers, *dir_owner;
+    int64_t *vm_home, *vm_migrations, *vm_replica_mask;
+    uint8_t* vm_replicated;
+    int64_t *ctr_read, *ctr_write, *ctr_since;
+    uint8_t *ctr_live_r, *ctr_live_w;
+    uint8_t **pt_modes, **pt_tracked, **pt_writable;
+    int64_t** pt_remaps;
+    int64_t** bc_blocks;
+    uint8_t** bc_dirty;
+    int64_t** cb;
+    uint8_t** cd;
+    int64_t **rf_counts, **pc_stamp, **pc_clock, **pc_count;
+    uint8_t** pc_res;
+    const int64_t *alloc_cost, *gather_cost;
+} PageOps;
+
+/* _Nic.acquire on the NIC mirror: returns the start time at `n` */
+static int64_t nic_acquire(const PageOps* o, int64_t n, int64_t now)
+{
+    const int64_t N = o->con[CON_NUM_NODES];
+    const int64_t occ = o->con[CON_NIC_OCC];
+    int64_t* nn = o->nn;
+    nn[NN_NIC_MSGS * N + n] += 1;
+    nn[NN_NIC_BUSY * N + n] += occ;
+    if (!o->con[CON_NET_ENABLED])
+        return now;
+    int64_t free_ = nn[NN_NIC_FREE * N + n];
+    int64_t start = now >= free_ ? now : free_;
+    nn[NN_NIC_WAIT * N + n] += start - now;
+    nn[NN_NIC_FREE * N + n] = start + occ;
+    return start;
+}
+
+/* Network.one_way: one message of counter index `msg_i` and `size`
+ * bytes from src to dst, sent at `now`; returns its delivery time */
+static int64_t one_way(const PageOps* o, int64_t src, int64_t dst,
+                       int64_t now, int64_t msg_i, int64_t size)
+{
+    const int64_t occ = o->con[CON_NIC_OCC];
+    o->msg_delta[msg_i] += 1;
+    o->mut[MUT_BYTES] += size;
+    if (src == dst)
+        return now;
+    int64_t t = nic_acquire(o, src, now) + occ + o->con[CON_NET_LATENCY];
+    return nic_acquire(o, dst, t) + occ;
+}
+
+/* repro.kernel.flush.flush_node_page: for each block of `page`, `node`'s
+ * block-cache frame first, then each of the node's L1 lines; then the
+ * node leaves the page's sharer sets, and an owned block is written
+ * back.  Returns the number of copies dropped. */
+static int64_t flush_node_page(const PageOps* o, int64_t node, int64_t page)
+{
+    const int64_t P = o->con[CON_NUM_PROCS];
+    const int64_t N = o->con[CON_NUM_NODES];
+    const int64_t bpp = o->con[CON_BPP];
+    const int64_t bc_cap = o->con[CON_BC_CAP];
+    const int64_t num_lines = o->con[CON_NUM_LINES];
+    const int64_t first = page * bpp;
+    int64_t* bb = o->bc_blocks[node];
+    uint8_t* bd = o->bc_dirty[node];
+    int64_t flushed = 0;
+    for (int64_t block = first; block < first + bpp; block++) {
+        int64_t bidx = block % bc_cap;
+        if (bb[bidx] == block) {
+            bb[bidx] = -1;
+            bd[bidx] = 0;
+            o->nn[NN_BCS_INVAL * N + node] += 1;
+            flushed += 1;
+        }
+        int64_t idx = block % num_lines;
+        for (int64_t p = 0; p < P; p++) {
+            if (o->pp[PP_NODE * P + p] == node && o->cb[p][idx] == block) {
+                o->cb[p][idx] = -1;
+                o->cd[p][idx] = 0;
+                o->pp[PP_INVAL * P + p] += 1;
+                flushed += 1;
+            }
+        }
+    }
+    const int64_t bit = (int64_t)1 << node;
+    for (int64_t block = first; block < first + bpp; block++) {
+        o->dir_sharers[block] &= ~bit;
+        if (o->dir_owner[block] == node) {
+            o->dir_owner[block] = -1;
+            o->mut[MUT_DIR_WB] += 1;
+        }
+    }
+    return flushed;
+}
+
+/* PageTable.map_page(count_fault=False) */
+static void map_page(const PageOps* o, int64_t node, int64_t page,
+                     int64_t code, int64_t writable)
+{
+    uint8_t* modes = o->pt_modes[node];
+    o->pt_tracked[node][page] = 1;
+    if (modes[page] != 0 && modes[page] != code)
+        o->pt_remaps[node][page] += 1;
+    modes[page] = (uint8_t)code;
+    o->pt_writable[node][page] = (uint8_t)writable;
+}
+
+/* PageTable.unmap */
+static void unmap_page(const PageOps* o, int64_t node, int64_t page)
+{
+    if (o->pt_tracked[node][page] && o->pt_modes[node][page] != 0) {
+        o->pt_modes[node][page] = 0;
+        o->pt_writable[node][page] = 1;
+        o->pt_remaps[node][page] += 1;
+    }
+}
+
+/* MigrationEngine._gather: the home asks every other node caching a
+ * block of `page` (ascending id, `exclude` skipped) to flush it and drop
+ * its mapping.  Returns the copies dropped; *done is the last flush-done
+ * arrival (at least `now`). */
+static int64_t gather(const PageOps* o, int64_t page, int64_t home,
+                      int64_t now, int64_t exclude, int64_t* done)
+{
+    const int64_t N = o->con[CON_NUM_NODES];
+    const int64_t bpp = o->con[CON_BPP];
+    int64_t mask = 0;
+    for (int64_t block = page * bpp; block < (page + 1) * bpp; block++)
+        mask |= o->dir_sharers[block];
+    int64_t flushed = 0;
+    *done = now;
+    for (int64_t n = 0; n < N; n++) {
+        if (n == home || n == exclude || !((mask >> n) & 1))
+            continue;
+        int64_t t = one_way(o, home, n, now, o->con[CON_MSG_FLUSH_REQ],
+                            o->con[CON_SZ_FLUSH_REQ]);
+        flushed += flush_node_page(o, n, page);
+        t = one_way(o, n, home, t, o->con[CON_MSG_FLUSH_DONE],
+                    o->con[CON_SZ_FLUSH_DONE]);
+        if (t > *done)
+            *done = t;
+        unmap_page(o, n, page);
+    }
+    return flushed;
+}
+
+/* the per-count cost tables cover 0..bpp flushed blocks */
+static int64_t clamp_blocks(const PageOps* o, int64_t flushed)
+{
+    const int64_t bpp = o->con[CON_BPP];
+    return flushed < bpp ? flushed : bpp;
+}
+
+/* RelocationEngine.relocate into a page cache with a free frame, plus
+ * RNUMAProtocol._perform_relocation's bookkeeping; returns the cost */
+static int64_t relocate(const PageOps* o, int64_t node, int64_t page)
+{
+    const int64_t N = o->con[CON_NUM_NODES];
+    int64_t flushed = flush_node_page(o, node, page);
+    int64_t cost = o->con[CON_SOFT_TRAP]
+                   + o->alloc_cost[clamp_blocks(o, flushed)]
+                   + o->con[CON_TLB_SHOOTDOWN];
+    /* PageCache.allocate */
+    o->pc_res[node][page] = 1;
+    o->pc_count[node][0] += 1;
+    o->pc_clock[node][0] += 1;
+    o->pc_stamp[node][page] = o->pc_clock[node][0];
+    map_page(o, node, page, o->con[CON_MODE_SCOMA], 1);
+    o->rf_counts[node][page] = 0;
+    o->nn[NN_RELOCATIONS * N + node] += 1;
+    o->nn[NN_RELOCATION_CYC * N + node] += cost;
+    return cost;
+}
+
+/* MigrationEngine.replicate at a node holding no replica yet, plus
+ * _perform_replication's bookkeeping; returns the cost */
+static int64_t replicate(const PageOps* o, int64_t page, int64_t node,
+                         int64_t now)
+{
+    const int64_t N = o->con[CON_NUM_NODES];
+    const int64_t home = o->vm_home[page];
+    int64_t cost = o->con[CON_SOFT_TRAP];
+    if (!o->vm_replicated[page]) {
+        /* first replica: gather the page so the home holds a clean copy */
+        int64_t done;
+        int64_t flushed = gather(o, page, home, now, node, &done);
+        cost += o->gather_cost[clamp_blocks(o, flushed)]
+                + o->con[CON_TLB_SHOOTDOWN] + (done - now);
+    }
+    cost += o->con[CON_COPY_PAGE];
+    one_way(o, home, node, now, o->con[CON_MSG_PAGE_DATA],
+            o->con[CON_SZ_PAGE_DATA]);
+    o->vm_replicated[page] = 1;
+    o->vm_replica_mask[page] |= (int64_t)1 << node;
+    map_page(o, node, page, o->con[CON_MODE_REPLICA], 0);
+    o->nn[NN_REPLICATIONS * N + node] += 1;
+    o->nn[NN_REPLICATION_CYC * N + node] += cost;
+    return cost;
+}
+
+/* MigrationEngine.migrate of an unreplicated page, plus
+ * _perform_migration's bookkeeping and counter reset; returns the cost */
+static int64_t migrate(const PageOps* o, int64_t page, int64_t new_home,
+                       int64_t now)
+{
+    const int64_t N = o->con[CON_NUM_NODES];
+    const int64_t old_home = o->vm_home[page];
+    int64_t done;
+    int64_t flushed = gather(o, page, old_home, now, new_home, &done);
+    /* the new home's remote-cached copies are about to become local */
+    flushed += flush_node_page(o, new_home, page);
+    int64_t cost = o->con[CON_SOFT_TRAP]
+                   + o->gather_cost[clamp_blocks(o, flushed)]
+                   + o->con[CON_COPY_PAGE] + o->con[CON_TLB_SHOOTDOWN]
+                   + (done - now);
+    one_way(o, old_home, new_home, now, o->con[CON_MSG_PAGE_DATA],
+            o->con[CON_SZ_PAGE_DATA]);
+    o->vm_home[page] = new_home;
+    o->vm_migrations[page] += 1;
+    map_page(o, old_home, page, o->con[CON_MODE_CCNUMA_REMOTE], 1);
+    map_page(o, new_home, page, o->con[CON_MODE_LOCAL_HOME], 1);
+    o->nn[NN_MIGRATIONS * N + new_home] += 1;
+    o->nn[NN_MIGRATION_CYC * N + new_home] += cost;
+    /* MigRepCounters.reset_page */
+    for (int64_t nx = 0; nx < N; nx++) {
+        o->ctr_read[page * N + nx] = 0;
+        o->ctr_write[page * N + nx] = 0;
+    }
+    o->ctr_since[page] = 0;
+    o->ctr_live_r[page] = 0;
+    o->ctr_live_w[page] = 0;
+    o->mut[MUT_CTR_RESETS] += 1;
+    return cost;
+}
+
 int64_t repro_kernel_walk(
     int64_t* con, double* fcon, int64_t* mut, int64_t* pp, int64_t* nn,
     int64_t* msg_delta, int64_t* out,
     int64_t* dir_sharers, int64_t* dir_owner, int64_t* dir_versions,
     uint8_t* dir_tracked,
-    int64_t* vm_home, uint8_t* vm_replicated, int64_t* vm_replica_mask,
+    int64_t* vm_home, int64_t* vm_first, int64_t* vm_migrations,
+    uint8_t* vm_replicated, int64_t* vm_replica_mask,
     int64_t* ctr_read, int64_t* ctr_write, int64_t* ctr_since,
     uint8_t* ctr_live_r, uint8_t* ctr_live_w,
     double* hy_scores, int64_t* hy_seen,
     uint8_t** departed, uint8_t** pt_modes,
     uint8_t** pt_tracked, int64_t** pt_faults,
+    uint8_t** pt_writable, int64_t** pt_remaps,
     int64_t** bc_blocks, int64_t** bc_versions, uint8_t** bc_dirty,
     int64_t** cb, int64_t** cv, uint8_t** cd,
     int64_t** blocks, uint8_t** writes,
     int64_t** rf_counts, int64_t* pg_totals,
     uint8_t** pc_res, int64_t** pc_version, uint8_t** pc_dirty,
     int64_t** pc_stamp, int64_t** pc_clock, int64_t** pc_nvalid,
-    int64_t** pc_ndirty, int64_t** pc_fills,
-    int64_t* place_log)
+    int64_t** pc_ndirty, int64_t** pc_fills, int64_t** pc_count,
+    int64_t* pc_cap, int64_t* alloc_cost, int64_t* gather_cost)
 {
     const int64_t P = con[CON_NUM_PROCS];
     const int64_t N = con[CON_NUM_NODES];
@@ -224,6 +473,13 @@ int64_t repro_kernel_walk(
     const int64_t mr_hyst = con[CON_MR_HYST];
     const double hy_threshold = fcon[FCON_HY_THRESHOLD];
     const double hy_decay = fcon[FCON_HY_DECAY];
+    const PageOps ops = {
+        con, mut, pp, nn, msg_delta, dir_sharers, dir_owner,
+        vm_home, vm_migrations, vm_replica_mask, vm_replicated,
+        ctr_read, ctr_write, ctr_since, ctr_live_r, ctr_live_w,
+        pt_modes, pt_tracked, pt_writable, pt_remaps, bc_blocks, bc_dirty,
+        cb, cd, rf_counts, pc_stamp, pc_clock, pc_count, pc_res,
+        alloc_cost, gather_cost};
 
     /* the interleave cursor k = i * P + p; (ni, np_) is the reference
      * it points at */
@@ -330,12 +586,11 @@ int64_t repro_kernel_walk(
             if (home < 0 && !first_touch_ok)
                 BAIL(RC_BAIL_FAULT);
             if (home < 0) {
-                /* first touch: home the page at the requester; the
-                 * PageRecord side is deferred to the placement log */
+                /* first touch: home the page at the requester */
                 home = node;
                 vm_home[page] = node;
-                place_log[mut[MUT_NPLACED]] = (page << 6) | node;
-                mut[MUT_NPLACED] += 1;
+                vm_first[page] = node;
+                mut[MUT_FIRST_TOUCHES] += 1;
             }
             fault = soft_trap;
             nn[NN_MAPFAULT * N + node] += 1;
@@ -585,7 +840,7 @@ int64_t repro_kernel_walk(
                 nn[NN_BCS_INVAL * N + node] += 1;
             }
         }
-        int64_t remote;
+        int64_t remote, pageop = 0;
         if (hit) {
             nn[NN_BCS_HITS * N + node] += 1;
             nn[NN_NS_BCHITS * N + node] += 1;
@@ -654,7 +909,7 @@ int64_t repro_kernel_walk(
                     }
                 }
             }
-            int64_t reloc = 0, eval_mask = 0;
+            int64_t reloc = 0, eval_mask = 0, replicate_it = 0, migrate_it = 0;
             if (has_rnuma) {
                 /* requester-side R-NUMA accounting: the per-page miss
                  * total always, the refetch counter only when this fetch
@@ -681,29 +936,21 @@ int64_t repro_kernel_walk(
                     if (mr_static && !eval_mask) {
                         if (((vm_replica_mask[page] >> node) & 1) == 0) {
                             int64_t cbase = page * N;
-                            int64_t decided = 0;
                             if (mr_replication) {
                                 int64_t remote_writes = -ctr_write[cbase + home];
                                 for (int64_t nx = 0; nx < N; nx++)
                                     remote_writes += ctr_write[cbase + nx];
                                 if (remote_writes == 0
                                         && ctr_read[cbase + node] > mr_threshold)
-                                    decided = RC_BAIL_REPLICATE;
+                                    replicate_it = 1;
                             }
-                            if (!decided && mr_migration) {
+                            if (!replicate_it && mr_migration) {
                                 int64_t req_m = ctr_read[cbase + node]
                                                 + ctr_write[cbase + node];
                                 int64_t home_m = ctr_read[cbase + home]
                                                  + ctr_write[cbase + home];
                                 if (req_m - home_m > mr_threshold)
-                                    decided = RC_BAIL_MIGRATE;
-                            }
-                            if (decided) {
-                                /* fill is complete; only the page op
-                                 * itself needs the MigrationEngine */
-                                out[OUT_SERVICE] = service;
-                                out[OUT_VERSION] = version;
-                                BAIL(decided);
+                                    migrate_it = 1;
                             }
                         }
                     } else if (mr_hyst && !eval_mask) {
@@ -726,30 +973,25 @@ int64_t repro_kernel_walk(
                                     hy_scores[cbase + home] += (double)hdelta;
                                 hy_seen[page] = home_total;
                             }
-                            int64_t decided = 0;
                             if (mr_replication) {
                                 int64_t remote_writes = -ctr_write[cbase + home];
                                 for (int64_t nx = 0; nx < N; nx++)
                                     remote_writes += ctr_write[cbase + nx];
                                 if (remote_writes == 0
                                         && hy_scores[cbase + node] > hy_threshold)
-                                    decided = RC_BAIL_REPLICATE;
+                                    replicate_it = 1;
                             }
-                            if (!decided && mr_migration) {
+                            if (!replicate_it && mr_migration) {
                                 if (hy_scores[cbase + node]
                                         - hy_scores[cbase + home] > hy_threshold)
-                                    decided = RC_BAIL_MIGRATE;
+                                    migrate_it = 1;
                             }
-                            if (decided) {
+                            if (replicate_it || migrate_it) {
                                 /* the policy forgets the page before the
-                                 * fired decision runs; the page op itself
-                                 * needs the MigrationEngine */
+                                 * fired decision runs */
                                 for (int64_t nx = 0; nx < N; nx++)
                                     hy_scores[cbase + nx] = 0.0;
                                 hy_seen[page] = 0;
-                                out[OUT_SERVICE] = service;
-                                out[OUT_VERSION] = version;
-                                BAIL(decided);
                             }
                         }
                     } else if (hybrid
@@ -762,12 +1004,26 @@ int64_t repro_kernel_walk(
                     }
                 }
             }
+            /* a fired decision runs its page operation after the fill and
+             * before the L1 fill below; the two that need Python bail */
             if (reloc) {
-                /* fired static R-NUMA decision: the fill is complete,
-                 * the relocation itself runs in the RelocationEngine */
-                out[OUT_SERVICE] = service;
-                out[OUT_VERSION] = version;
-                BAIL(RC_BAIL_RELOCATE);
+                if (pc_cap[node] >= 0 && pc_count[node][0] >= pc_cap[node]) {
+                    /* full page cache: the eviction runs in Python */
+                    out[OUT_SERVICE] = service;
+                    out[OUT_VERSION] = version;
+                    BAIL(RC_BAIL_RELOCATE);
+                }
+                pageop = relocate(&ops, node, page);
+            } else if (replicate_it) {
+                pageop = replicate(&ops, page, node, start);
+            } else if (migrate_it) {
+                if (vm_replicated[page]) {
+                    /* vm.migrate refuses a replicated page: let it raise */
+                    out[OUT_SERVICE] = service;
+                    out[OUT_VERSION] = version;
+                    BAIL(RC_BAIL_MIGRATE);
+                }
+                pageop = migrate(&ops, page, node, start);
             }
             if (eval_mask) {
                 /* adaptive evaluation point: the fill is accounted;
@@ -798,8 +1054,9 @@ int64_t repro_kernel_walk(
             pp[PP_ACC_REMOTE * P + p] += service;
         else
             pp[PP_ACC_LOCAL * P + p] += service;
+        pp[PP_ACC_PAGEOP * P + p] += pageop;
         pp[PP_ACC_FAULT * P + p] += fault;
-        pp[PP_CLOCK * P + p] = clock + wait + service + fault;
+        pp[PP_CLOCK * P + p] = clock + wait + service + pageop + fault;
     }
 
     mut[MUT_K] = k;

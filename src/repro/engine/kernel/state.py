@@ -54,8 +54,6 @@ from repro.interconnect.message import MessageType
 from repro.kernel.faults import FaultKind
 from repro.mem.page_table import MODE_CODES, PageMode
 
-_MAPPING_FAULT = FaultKind.MAPPING_FAULT
-
 # ---------------------------------------------------------------------------
 # layout constants (emitted as cwalk.c's #defines, see LAYOUT)
 # ---------------------------------------------------------------------------
@@ -73,8 +71,11 @@ _MAPPING_FAULT = FaultKind.MAPPING_FAULT
  CON_MSG_MAP_REPLY, CON_SZ_MAP_PAIR, CON_MODE_CCNUMA_REMOTE,
  CON_FIRST_TOUCH, CON_HAS_RNUMA, CON_RN_STATIC, CON_RN_THRESHOLD,
  CON_RN_DELAY, CON_HAS_PAGECACHE, CON_SCOMA_ALLOC, CON_HYBRID,
- CON_MR_STATIC, CON_BC_PENALTY, CON_MR_HYST) = range(53)
-CON_SIZE = 53
+ CON_MR_STATIC, CON_BC_PENALTY, CON_MR_HYST, CON_MODE_SCOMA,
+ CON_TLB_SHOOTDOWN, CON_COPY_PAGE, CON_MSG_FLUSH_REQ, CON_MSG_FLUSH_DONE,
+ CON_MSG_PAGE_DATA, CON_SZ_FLUSH_REQ, CON_SZ_FLUSH_DONE,
+ CON_SZ_PAGE_DATA) = range(62)
+CON_SIZE = 62
 
 #: FCON — float64 run constants (the int64 ``con`` array cannot carry
 #: the hysteresis policy's fractional threshold and decay factor).
@@ -90,19 +91,22 @@ PP_ROWS = 14
 
 #: NN — per-node mirror rows of the flat ``nn`` array
 #: (``nn[row * num_nodes + n]``).  ``*_FREE`` rows are absolute times;
-#: every other row is a delta folded into its owner by ``flush``.
+#: every other row is a delta folded into its owner by ``flush``.  The
+#: page-operation rows count the relocations, replications and
+#: migrations the walk performed for a node and sum their cycles.
 (NN_BUS_FREE, NN_BUS_TXN, NN_BUS_WAIT, NN_NIC_FREE, NN_NIC_MSGS,
  NN_NIC_BUSY, NN_NIC_WAIT, NN_NS_LOCAL, NN_NS_REMOTE, NN_NS_UPGRADES,
  NN_NS_BCHITS, NN_NS_CAUSE0, NN_NS_CAUSE1, NN_NS_CAUSE2, NN_BCS_HITS,
  NN_BCS_MISSES, NN_BCS_INVAL, NN_BCS_EVICT, NN_MAPFAULT, NN_NS_PCHITS,
  NN_PCS_HITS, NN_PCS_MISSES, NN_PCS_FILLS, NN_PCS_INVAL,
- NN_RF_TOTAL) = range(25)
-NN_ROWS = 25
+ NN_RF_TOTAL, NN_RELOCATIONS, NN_RELOCATION_CYC, NN_REPLICATIONS,
+ NN_REPLICATION_CYC, NN_MIGRATIONS, NN_MIGRATION_CYC) = range(31)
+NN_ROWS = 31
 
 #: MUT — mutable walk scalars surviving across bails within a phase;
 #: ``MUT_K`` is the interleave cursor ``i * num_procs + p``.
 (MUT_K, MUT_BYTES, MUT_DIR_INV, MUT_DIR_WB, MUT_CTR_RESETS,
- MUT_NPLACED) = range(6)
+ MUT_FIRST_TOUCHES) = range(6)
 MUT_SIZE = 6
 
 #: OUT — the bail record the walk fills before returning.
@@ -115,11 +119,10 @@ OUT_SIZE = 14
 RC_DONE = 0            #: phase complete
 RC_BAIL_FAULT = 1      #: mapping fault — execute via ``handle_miss``
 RC_BAIL_COLLAPSE = 2   #: write to a replicated page — via ``_service_remote_page``
-RC_BAIL_REPLICATE = 3  #: static MigRep decision: install a replica
-RC_BAIL_MIGRATE = 4    #: static MigRep decision: migrate the page
-RC_BAIL_RELOCATE = 5   #: static R-NUMA decision: relocate into the page cache
-RC_BAIL_DECIDE = 6     #: adaptive policy evaluation point (``OUT_EVAL`` mask)
-RC_BAIL_PAGECACHE = 7  #: S-COMA first-touch allocation — via ``_service_remote_page``
+RC_BAIL_MIGRATE = 3    #: fired migration of a replicated page (``vm.migrate`` raises)
+RC_BAIL_RELOCATE = 4   #: fired relocation on a full page cache (needs an eviction)
+RC_BAIL_DECIDE = 5     #: adaptive policy evaluation point (``OUT_EVAL`` mask)
+RC_BAIL_PAGECACHE = 6  #: S-COMA first-touch allocation — via ``_service_remote_page``
 
 #: Every layout constant by name: the C walk's ``#define`` s.
 LAYOUT = {name: value for name, value in sorted(globals().items())
@@ -217,6 +220,27 @@ class KernelState:
         con[CON_DEP_EVICTED] = _DEPARTED_EVICTED
         con[CON_DEP_INVALIDATED] = _DEPARTED_INVALIDATED
         con[CON_SOFT_TRAP] = costs.soft_trap
+        con[CON_MODE_SCOMA] = MODE_CODES[PageMode.SCOMA]
+        # page-operation costs: the fixed parts here, the flushed-block
+        # interpolations as exact per-count tables (the walk never
+        # rounds a float)
+        bpp = machine.addr.blocks_per_page
+        con[CON_TLB_SHOOTDOWN] = costs.tlb_shootdown
+        con[CON_COPY_PAGE] = costs.copy_cost(bpp, bpp)
+        self.alloc_cost = np.array(
+            [costs.page_alloc_cost(n, bpp) for n in range(bpp + 1)],
+            dtype=np.int64)
+        self.gather_cost = np.array(
+            [costs.gather_cost(n, bpp) for n in range(bpp + 1)],
+            dtype=np.int64)
+        for con_i, con_sz, mtype in (
+                (CON_MSG_FLUSH_REQ, CON_SZ_FLUSH_REQ,
+                 MessageType.PAGE_FLUSH_REQUEST),
+                (CON_MSG_FLUSH_DONE, CON_SZ_FLUSH_DONE,
+                 MessageType.PAGE_FLUSH_DONE),
+                (CON_MSG_PAGE_DATA, CON_SZ_PAGE_DATA, MessageType.PAGE_DATA)):
+            con[con_i] = mtype.index
+            con[con_sz] = sizes[mtype.index]
         mri = MessageType.PAGE_MAP_REQUEST.index
         mpi = MessageType.PAGE_MAP_REPLY.index
         con[CON_MSG_MAP_REQ] = mri
@@ -237,12 +261,17 @@ class KernelState:
         ptype = type(protocol)
         counters = None
         mr_policy = None
+        #: the engines whose per-node operation counters the walk's
+        #: page operations feed
+        self.migration_engine = self.relocation_engine = None
         if ptype is MigRepProtocol:
             counters = protocol.counters
             mr_policy = protocol.policy
+            self.migration_engine = protocol.engine
         elif ptype is RNUMAMigRepProtocol:
             counters = protocol.migrep_counters
             mr_policy = protocol.migrep_policy
+            self.migration_engine = protocol.migration_engine
             con[CON_HYBRID] = 1
         self.fcon = np.zeros(FCON_SIZE, dtype=np.float64)
         self.hy_policy = None
@@ -265,8 +294,15 @@ class KernelState:
                 self.fcon[FCON_HY_DECAY] = mr_policy.decay
                 self.hy_policy = mr_policy
         self.rnuma = protocol if isinstance(protocol, RNUMAProtocol) else None
+        # per-node page-cache capacity, -1 when unbounded: the walk
+        # relocates only into a cache with a free frame
+        self.pc_cap = np.array(
+            [-1 if pc is None or pc.capacity_pages is None
+             else pc.capacity_pages for pc in machine.page_caches],
+            dtype=np.int64)
         if self.rnuma is not None:
             # eligibility requires a page cache on every node here
+            self.relocation_engine = protocol.engine
             con[CON_HAS_PAGECACHE] = 1
             if ptype is SCOMAProtocol:
                 con[CON_SCOMA_ALLOC] = 1
@@ -286,11 +322,6 @@ class KernelState:
         self.nn = np.zeros(NN_ROWS * self.num_nodes, dtype=np.int64)
         self.msg_delta = np.zeros(len(net.stats._counts), dtype=np.int64)
         self.out = np.zeros(OUT_SIZE, dtype=np.int64)
-
-        # first-touch placements performed inside the walk, encoded as
-        # ``page << 6 | node`` (eligibility caps nodes at 62); their
-        # PageRecords are materialized lazily by materialize_placements
-        self.place_log = np.empty(0, dtype=np.int64)
 
         # store views — taken per phase (see marshal_phase) — and the
         # backend runner bound over them (see bind_walk)
@@ -329,8 +360,6 @@ class KernelState:
             for pc in machine.page_caches:
                 if pc is not None:
                     pc.reserve(max_page + 1)
-        if len(self.place_log) < max_page + 1:
-            self.place_log = np.empty(max_page + 1, dtype=np.int64)
 
     def marshal_phase(self) -> None:
         """Take the zero-copy store views for one phase's walk."""
@@ -343,11 +372,16 @@ class KernelState:
         self.dir_tracked = _u8(directory._tracked)
         self.departed = [_u8(d) for d in directory._departed]
         self.vm_home = _i64(vm._home)
+        self.vm_first = _i64(vm._first_toucher)
+        self.vm_migrations = _i64(vm._migrations)
         self.vm_replicated = _u8(vm._replicated)
         self.vm_replica_mask = _i64(vm._replica_mask)
-        self.pt_modes = [_u8(pt._modes) for pt in machine.page_tables]
-        self.pt_tracked = [_u8(pt._tracked) for pt in machine.page_tables]
-        self.pt_faults = [_i64(pt._faults) for pt in machine.page_tables]
+        pts = machine.page_tables
+        self.pt_modes = [_u8(pt._modes) for pt in pts]
+        self.pt_tracked = [_u8(pt._tracked) for pt in pts]
+        self.pt_faults = [_i64(pt._faults) for pt in pts]
+        self.pt_writable = [_u8(pt._writable) for pt in pts]
+        self.pt_remaps = [_i64(pt._remaps) for pt in pts]
         self.bc_blocks = [_i64(bc._blocks) for bc in machine.block_caches]
         self.bc_versions = [_i64(bc._versions) for bc in machine.block_caches]
         self.bc_dirty = [_u8(bc._dirty) for bc in machine.block_caches]
@@ -392,6 +426,7 @@ class KernelState:
             self.pc_nvalid = [_i64(pc._nvalid) for pc in pcs]
             self.pc_ndirty = [_i64(pc._ndirty) for pc in pcs]
             self.pc_fills = [_i64(pc._fills) for pc in pcs]
+            self.pc_count = [_i64(pc._count) for pc in pcs]
         else:
             # valid (never dereferenced) placeholders: the walk's page
             # cache and R-NUMA accesses are gated on the CON flags
@@ -408,6 +443,7 @@ class KernelState:
             self.pc_nvalid = [e64] * N
             self.pc_ndirty = [e64] * N
             self.pc_fills = [e64] * N
+            self.pc_count = [e64] * N
         self.con[CON_DIR_CAP] = len(self.dir_sharers)
         self.con[CON_VM_LEN] = len(self.vm_home)
         self.mut[MUT_K] = 0
@@ -427,24 +463,29 @@ class KernelState:
             self.out,
             self.dir_sharers, self.dir_owner, self.dir_versions,
             self.dir_tracked,
-            self.vm_home, self.vm_replicated, self.vm_replica_mask,
+            self.vm_home, self.vm_first, self.vm_migrations,
+            self.vm_replicated, self.vm_replica_mask,
             self.ctr_read, self.ctr_write, self.ctr_since,
             self.ctr_live_r, self.ctr_live_w,
             self.hy_scores, self.hy_seen,
             self.departed, self.pt_modes, self.pt_tracked, self.pt_faults,
+            self.pt_writable, self.pt_remaps,
             self.bc_blocks, self.bc_versions, self.bc_dirty,
             self.cb, self.cv, self.cd, *columns,
             self.rf_counts, self.pg_totals, self.pc_res, self.pc_version,
             self.pc_dirty, self.pc_stamp, self.pc_clock, self.pc_nvalid,
-            self.pc_ndirty, self.pc_fills, self.place_log))
+            self.pc_ndirty, self.pc_fills, self.pc_count, self.pc_cap,
+            self.alloc_cost, self.gather_cost))
 
     def release(self) -> None:
         """Drop the runner and the store views (their export locks)."""
         self.runner = None
         self.dir_sharers = self.dir_owner = self.dir_versions = None
         self.dir_tracked = self.departed = None
-        self.vm_home = self.vm_replicated = self.vm_replica_mask = None
+        self.vm_home = self.vm_first = self.vm_migrations = None
+        self.vm_replicated = self.vm_replica_mask = None
         self.pt_modes = self.pt_tracked = self.pt_faults = None
+        self.pt_writable = self.pt_remaps = None
         self.bc_blocks = self.bc_versions = None
         self.bc_dirty = self.cb = self.cv = self.cd = None
         self.ctr_read = self.ctr_write = self.ctr_since = None
@@ -453,7 +494,7 @@ class KernelState:
         self.rf_counts = self.pg_totals = None
         self.pc_res = self.pc_version = self.pc_dirty = None
         self.pc_stamp = self.pc_clock = self.pc_nvalid = None
-        self.pc_ndirty = self.pc_fills = None
+        self.pc_ndirty = self.pc_fills = self.pc_count = None
 
     # -- mirror synchronisation ---------------------------------------------
 
@@ -489,38 +530,12 @@ class KernelState:
         for n in range(N):
             nn[NN_NIC_FREE * N + n] = nics[n].next_free
 
-    def materialize_placements(self) -> None:
-        """Create the PageRecords for first touches the walk performed.
-
-        The walk places first-touch pages itself (``vm._home`` plus the
-        node's page table, both views) and logs ``page << 6 | node``;
-        the record-dict side of the placement happens here.  Must run
-        before any Python protocol code can consult ``vm`` — i.e. at
-        every bail and at the end of every phase.
-        """
-        npl = int(self.mut[MUT_NPLACED])
-        if not npl:
-            return
-        from repro.kernel.vm import PageRecord
-        vm = self.machine.vm
-        pages = vm._pages
-        log = self.place_log
-        for j in range(npl):
-            v = int(log[j])
-            page = v >> 6
-            node = v & 63
-            pages[page] = PageRecord(page=page, home=node,
-                                     first_toucher=node)
-        vm.first_touches += npl
-        self.mut[MUT_NPLACED] = 0
-
     def flush(self) -> None:
         """Fold the delta mirrors into their owners; write back absolutes.
 
         Runs at the end of every phase.  Delta rows are zeroed as they
         are folded; absolute rows are written through.
         """
-        self.materialize_placements()
         machine = self.machine
         nn = self.nn
         N = self.num_nodes
@@ -563,11 +578,8 @@ class KernelState:
                 # fault + a FaultLog record of soft_trap cycles
                 ns.mapping_faults += mf
                 machine.page_tables[n].soft_faults += mf
-                log = protocol.fault_logs[n]
-                log.counts[_MAPPING_FAULT] = (
-                    log.counts.get(_MAPPING_FAULT, 0) + mf)
-                log.cycles[_MAPPING_FAULT] = (
-                    log.cycles.get(_MAPPING_FAULT, 0) + mf * soft_trap)
+                _fold_faults(protocol.fault_logs[n], FaultKind.MAPPING_FAULT,
+                             mf, mf * soft_trap)
             if self.rnuma is not None:
                 ns.page_cache_hits += int(nn[NN_NS_PCHITS * N + n])
                 pc = machine.page_caches[n]
@@ -579,12 +591,42 @@ class KernelState:
                     pcs.block_invalidations += int(nn[NN_PCS_INVAL * N + n])
                 rc = self.rnuma.refetch_counters[n]
                 rc.total_recorded += int(nn[NN_RF_TOTAL * N + n])
+            # page operations the walk performed: one count row feeds
+            # the node statistics, the engine's per-node list, the fault
+            # log (and, for a relocation, the page-cache allocation
+            # count); the VM's totals take the sum
+            reloc = int(nn[NN_RELOCATIONS * N + n])
+            if reloc:
+                ns.relocations += reloc
+                self.relocation_engine.relocations_by_node[n] += reloc
+                machine.page_caches[n].stats.allocations += reloc
+                _fold_faults(protocol.fault_logs[n],
+                             FaultKind.RELOCATION_INTERRUPT, reloc,
+                             int(nn[NN_RELOCATION_CYC * N + n]))
+            rep = int(nn[NN_REPLICATIONS * N + n])
+            if rep:
+                ns.replications += rep
+                self.migration_engine.replications_by_node[n] += rep
+                machine.vm.replications += rep
+                _fold_faults(protocol.fault_logs[n],
+                             FaultKind.REPLICATION_TRAP, rep,
+                             int(nn[NN_REPLICATION_CYC * N + n]))
+            mig = int(nn[NN_MIGRATIONS * N + n])
+            if mig:
+                ns.migrations += mig
+                self.migration_engine.migrations_by_node[n] += mig
+                machine.vm.migrations += mig
+                _fold_faults(protocol.fault_logs[n],
+                             FaultKind.MIGRATION_TRAP, mig,
+                             int(nn[NN_MIGRATION_CYC * N + n]))
             for row in (NN_NS_LOCAL, NN_NS_REMOTE, NN_NS_UPGRADES,
                         NN_NS_BCHITS, NN_NS_CAUSE0, NN_NS_CAUSE1,
                         NN_NS_CAUSE2, NN_BCS_HITS, NN_BCS_MISSES,
                         NN_BCS_INVAL, NN_BCS_EVICT, NN_MAPFAULT,
                         NN_NS_PCHITS, NN_PCS_HITS, NN_PCS_MISSES,
-                        NN_PCS_FILLS, NN_PCS_INVAL, NN_RF_TOTAL):
+                        NN_PCS_FILLS, NN_PCS_INVAL, NN_RF_TOTAL,
+                        NN_RELOCATIONS, NN_RELOCATION_CYC, NN_REPLICATIONS,
+                        NN_REPLICATION_CYC, NN_MIGRATIONS, NN_MIGRATION_CYC):
                 nn[row * N + n] = 0
         net_stats = machine.network.stats
         counts = net_stats._counts
@@ -600,9 +642,17 @@ class KernelState:
         machine.directory.writebacks += int(mut[MUT_DIR_WB])
         mut[MUT_DIR_INV] = 0
         mut[MUT_DIR_WB] = 0
+        machine.vm.first_touches += int(mut[MUT_FIRST_TOUCHES])
+        mut[MUT_FIRST_TOUCHES] = 0
         if self.counters is not None:
             self.counters.resets += int(mut[MUT_CTR_RESETS])
             mut[MUT_CTR_RESETS] = 0
+
+
+def _fold_faults(log, kind, count: int, cycles: int) -> None:
+    """Add ``count`` faults of ``kind`` costing ``cycles`` to ``log``."""
+    log.counts[kind] = log.counts.get(kind, 0) + count
+    log.cycles[kind] = log.cycles.get(kind, 0) + cycles
 
 
 __all__ = [*LAYOUT, "LAYOUT", "KernelState", "schedule_arrays"]

@@ -24,6 +24,7 @@ from typing import Iterable, List, Optional, Sequence
 from repro.config import CostModel
 from repro.interconnect.message import MessageType
 from repro.interconnect.network import Network
+from repro.kernel.flush import flush_node_page
 from repro.kernel.vm import VirtualMemoryManager
 from repro.mem.address import AddressSpace
 from repro.mem.block_cache import BlockCache
@@ -89,17 +90,9 @@ class MigrationEngine:
 
     def _flush_node_page(self, node: int, page: int) -> int:
         """Flush every cached block of ``page`` from ``node``; return the count."""
-        blocks = self.addr.blocks_of_page(page)
-        flushed = 0
-        bc = self.block_caches[node]
-        for block in blocks:
-            if bc.invalidate(block):
-                flushed += 1
-            for l1 in self.l1_caches[node]:
-                if l1.invalidate(block):
-                    flushed += 1
-        self.directory.drop_node_from_page(blocks, node)
-        return flushed
+        return flush_node_page(self.addr, self.directory,
+                               self.block_caches[node], self.l1_caches[node],
+                               node, page)
 
     def _gather(self, page: int, home: int, now: int,
                 exclude: Iterable[int] = ()) -> tuple[int, int, int]:

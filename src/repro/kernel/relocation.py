@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from repro.config import CostModel
 from repro.interconnect.message import MessageType
 from repro.interconnect.network import Network
+from repro.kernel.flush import flush_node_page
 from repro.kernel.vm import VirtualMemoryManager
 from repro.mem.address import AddressSpace
 from repro.mem.block_cache import BlockCache
@@ -69,17 +70,9 @@ class RelocationEngine:
 
     def _flush_node_page(self, node: int, page: int) -> int:
         """Drop every block of ``page`` cached on ``node`` (block cache + L1s)."""
-        blocks = self.addr.blocks_of_page(page)
-        flushed = 0
-        bc = self.block_caches[node]
-        for block in blocks:
-            if bc.invalidate(block):
-                flushed += 1
-            for l1 in self.l1_caches[node]:
-                if l1.invalidate(block):
-                    flushed += 1
-        self.directory.drop_node_from_page(blocks, node)
-        return flushed
+        return flush_node_page(self.addr, self.directory,
+                               self.block_caches[node], self.l1_caches[node],
+                               node, page)
 
     # ------------------------------------------------------------------ operations
 
@@ -102,11 +95,9 @@ class RelocationEngine:
         home = self.vm.home_of(victim)
         if home is not None and home != node and dirty:
             self.network.stats.record(MessageType.WRITEBACK, dirty)
-        self.directory.drop_node_from_page(self.addr.blocks_of_page(victim), node)
-        # also drop any L1 copies of the victim page's blocks on this node
-        for block in self.addr.blocks_of_page(victim):
-            for l1 in self.l1_caches[node]:
-                l1.invalidate(block)
+        # the victim is S-COMA-mapped, so none of its blocks sits in the
+        # block cache: the flush drops its L1 copies and sharer bits
+        self._flush_node_page(node, victim)
         self.page_tables[node].map_page(victim, PageMode.CCNUMA_REMOTE,
                                         count_fault=False)
         cost = (self.costs.page_alloc_cost(valid, bpp)

@@ -19,22 +19,62 @@ the cooperating per-node kernels) tracking, per page:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 
-@dataclass(slots=True)
 class PageRecord:
-    """Global (home-side) state of one shared page."""
+    """View of the global (home-side) state of one placed page.
 
-    page: int
-    home: int
-    first_toucher: int
-    migrations: int = 0
-    #: nodes currently holding a read-only replica (excluding the home)
-    replicas: Set[int] = field(default_factory=set)
-    #: True while the page is in replicated (read-only everywhere) state
-    replicated: bool = False
+    Like :class:`repro.mem.page_table.PageTableEntry`, a record holds no
+    state of its own: every field reads the manager's per-page arrays,
+    so a view stays current across page operations, including those the
+    compiled kernel performs on the same arrays.
+    """
+
+    __slots__ = ("_vm", "page")
+
+    def __init__(self, vm: "VirtualMemoryManager", page: int) -> None:
+        self._vm = vm
+        self.page = page
+
+    @property
+    def home(self) -> int:
+        """Current home node."""
+        return self._vm._home[self.page]
+
+    @property
+    def first_toucher(self) -> int:
+        """Node whose first touch placed the page."""
+        return self._vm._first_toucher[self.page]
+
+    @property
+    def migrations(self) -> int:
+        """Number of times the page changed home."""
+        return self._vm._migrations[self.page]
+
+    @property
+    def replicas(self) -> Set[int]:
+        """Nodes currently holding a read-only replica (excluding the home)."""
+        return _nodes_of(self._vm._replica_mask[self.page])
+
+    @property
+    def replicated(self) -> bool:
+        """True while the page is in replicated (read-only everywhere) state."""
+        return bool(self._vm._replicated[self.page])
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"PageRecord(page={self.page}, home={self.home},"
+                f" replicas={sorted(self.replicas)})")
+
+
+def _nodes_of(mask: int) -> Set[int]:
+    """The node ids of the set bits of ``mask``."""
+    nodes = set()
+    while mask:
+        low = mask & -mask
+        nodes.add(low.bit_length() - 1)
+        mask ^= low
+    return nodes
 
 
 class VirtualMemoryManager:
@@ -45,10 +85,17 @@ class VirtualMemoryManager:
     :class:`repro.kernel.placement.PlacementPolicy` (or plain callable
     ``(page, requesting_node) -> home``) may be supplied to run the
     placement ablation.
+
+    Per-page state lives in flat buffer-backed arrays indexed by page id,
+    so the protocols read them directly on every miss and the compiled
+    kernel views them without copying: the home (``-1`` = never placed),
+    the first toucher, the migration count, a replicated flag byte and a
+    bitmask of the nodes holding a replica.  They grow lazily and in
+    place, so aliases stay valid.
     """
 
-    __slots__ = ("num_nodes", "_pages", "_home", "_replicated",
-                 "_replica_mask", "_placement",
+    __slots__ = ("num_nodes", "_home", "_first_toucher", "_migrations",
+                 "_replicated", "_replica_mask", "_placement",
                  "first_touches", "migrations", "replications",
                  "replica_collapses")
 
@@ -56,15 +103,9 @@ class VirtualMemoryManager:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
         self.num_nodes = num_nodes
-        self._pages: Dict[int, PageRecord] = {}
-        # flat page -> current home array (-1 = never placed), kept in sync
-        # with the records; the protocol layer and the batched engine read
-        # it directly on every miss instead of a record-dict lookup.  Grown
-        # lazily and in place (aliases stay valid).  Buffer-backed so the
-        # compiled residual kernel can view it without copying; the two
-        # companion columns mirror PageRecord.replicated / .replicas as a
-        # flag byte and a node bitmask for the same reason.
         self._home = array("q")
+        self._first_toucher = array("q")
+        self._migrations = array("q")
         self._replicated = bytearray()
         self._replica_mask = array("Q")
         self._placement = placement
@@ -76,15 +117,23 @@ class VirtualMemoryManager:
     # -- storage management --------------------------------------------------------
 
     def reserve(self, n: int) -> None:
-        """Grow the home array (in place) to cover page ids ``< n``."""
+        """Grow the per-page arrays (in place) to cover page ids ``< n``."""
         cap = len(self._home)
         if n <= cap:
             return
         grow = max(n, 2 * cap, 256) - cap
         # -1 as little-endian two's-complement int64 is all-ones bytes
         self._home.frombytes(b"\xff" * (8 * grow))
+        self._first_toucher.frombytes(b"\xff" * (8 * grow))
+        self._migrations.frombytes(bytes(8 * grow))
         self._replicated += bytes(grow)
         self._replica_mask.frombytes(bytes(8 * grow))
+
+    def _placed_record(self, page: int) -> PageRecord:
+        """The record of ``page``; ``KeyError`` if it was never placed."""
+        if self.home_of(page) is None:
+            raise KeyError(f"page {page} has never been placed")
+        return PageRecord(self, page)
 
     # -- placement ---------------------------------------------------------------
 
@@ -97,22 +146,20 @@ class VirtualMemoryManager:
         this call performed the placement.
         """
         self._check_node(node)
-        rec = self._pages.get(page)
-        if rec is not None:
-            return rec, False
+        if self.home_of(page) is not None:
+            return PageRecord(self, page), False
         home = node if self._placement is None else self._placement(page, node)
         self._check_node(home)
-        rec = PageRecord(page=page, home=home, first_toucher=node)
-        self._pages[page] = rec
         if page >= len(self._home):
             self.reserve(page + 1)
         self._home[page] = home
+        self._first_toucher[page] = node
         self.first_touches += 1
-        return rec, True
+        return PageRecord(self, page), True
 
     def is_placed(self, page: int) -> bool:
         """True if the page already has a home."""
-        return page in self._pages
+        return self.home_of(page) is not None
 
     def home_of(self, page: int) -> Optional[int]:
         """Current home node of ``page``, or None if never touched."""
@@ -123,23 +170,20 @@ class VirtualMemoryManager:
         return None
 
     def record(self, page: int) -> Optional[PageRecord]:
-        """Return the record of ``page`` if it exists."""
-        return self._pages.get(page)
+        """Return the record of ``page`` if it has been placed."""
+        return PageRecord(self, page) if self.is_placed(page) else None
 
     # -- migration -----------------------------------------------------------------
 
     def migrate(self, page: int, new_home: int) -> PageRecord:
         """Move ``page``'s home to ``new_home`` (must already be placed)."""
         self._check_node(new_home)
-        rec = self._pages.get(page)
-        if rec is None:
-            raise KeyError(f"page {page} has never been placed")
-        if rec.replicated:
+        rec = self._placed_record(page)
+        if self._replicated[page]:
             raise ValueError("cannot migrate a page while it is replicated")
-        if rec.home != new_home:
-            rec.home = new_home
+        if self._home[page] != new_home:
             self._home[page] = new_home
-            rec.migrations += 1
+            self._migrations[page] += 1
             self.migrations += 1
         return rec
 
@@ -148,18 +192,13 @@ class VirtualMemoryManager:
     def replicate(self, page: int, node: int) -> PageRecord:
         """Install a read-only replica of ``page`` at ``node``."""
         self._check_node(node)
-        rec = self._pages.get(page)
-        if rec is None:
-            raise KeyError(f"page {page} has never been placed")
-        if node == rec.home:
+        rec = self._placed_record(page)
+        if node == self._home[page]:
             raise ValueError("the home node does not need a replica")
-        rec.replicated = True
-        if page >= len(self._home):
-            self.reserve(page + 1)
         self._replicated[page] = 1
-        self._replica_mask[page] |= 1 << node
-        if node not in rec.replicas:
-            rec.replicas.add(node)
+        bit = 1 << node
+        if not self._replica_mask[page] & bit:
+            self._replica_mask[page] |= bit
             self.replications += 1
         return rec
 
@@ -169,50 +208,45 @@ class VirtualMemoryManager:
         Returns the set of nodes whose replicas were revoked (the caller
         charges their invalidation cost).
         """
-        rec = self._pages.get(page)
-        if rec is None:
-            raise KeyError(f"page {page} has never been placed")
-        revoked = set(rec.replicas)
-        if rec.replicated or revoked:
+        self._placed_record(page)
+        revoked = _nodes_of(self._replica_mask[page])
+        if self._replicated[page] or revoked:
             self.replica_collapses += 1
-        rec.replicas.clear()
-        rec.replicated = False
-        if page < len(self._home):
-            self._replicated[page] = 0
-            self._replica_mask[page] = 0
+        self._replicated[page] = 0
+        self._replica_mask[page] = 0
         return revoked
 
     def is_replicated(self, page: int) -> bool:
         """True while the page is in replicated state."""
-        rec = self._pages.get(page)
-        return bool(rec and rec.replicated)
+        rep = self._replicated
+        return page < len(rep) and rep[page] != 0
 
     def replicas_of(self, page: int) -> Set[int]:
         """Nodes currently holding a replica of ``page`` (excluding home)."""
-        rec = self._pages.get(page)
-        return set(rec.replicas) if rec is not None else set()
+        mask = self._replica_mask
+        return _nodes_of(mask[page]) if page < len(mask) else set()
 
     def has_local_copy(self, page: int, node: int) -> bool:
         """True if ``node`` is the home of ``page`` or holds a replica."""
-        rec = self._pages.get(page)
-        if rec is None:
+        home = self.home_of(page)
+        if home is None:
             return False
-        return rec.home == node or node in rec.replicas
+        return home == node or bool(self._replica_mask[page] >> node & 1)
 
     # -- inspection -----------------------------------------------------------------------
 
     def pages(self) -> Iterator[int]:
-        """Iterate over every placed page id."""
-        return iter(self._pages.keys())
+        """Iterate over every placed page id, in ascending order."""
+        return (page for page, home in enumerate(self._home) if home >= 0)
 
     def num_pages(self) -> int:
         """Number of pages that have been placed."""
-        return len(self._pages)
+        return sum(1 for _ in self.pages())
 
     def pages_homed_at(self, node: int) -> List[int]:
         """Pages whose current home is ``node``."""
         self._check_node(node)
-        return [p for p, rec in self._pages.items() if rec.home == node]
+        return [page for page, home in enumerate(self._home) if home == node]
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

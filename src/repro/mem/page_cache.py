@@ -28,8 +28,11 @@ a page cache through zero-copy ``np.frombuffer`` views.  LRU order is a
 monotonic clock: every allocation or touch stamps the page with
 ``_clock[0] += 1``, and the victim is the resident page with the smallest
 stamp — the same order the previous ``OrderedDict`` implementation
-produced, but observable (and advanceable) from flat arrays.  Residency
-itself only changes in Python (allocate/evict), never inside the kernel.
+produced, but observable (and advanceable) from flat arrays.  Resident
+pages have distinct stamps, so the least-recent page is unique.  The
+number of occupied frames is a one-cell counter beside the clock,
+``_count[0]``, so the kernel's relocation can allocate a frame in place;
+evictions happen only in Python.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
+
+import numpy as np
 
 
 @dataclass(slots=True)
@@ -84,7 +89,7 @@ class PageCache:
 
     __slots__ = ("capacity_pages", "blocks_per_page", "stats",
                  "_resident", "_stamp", "_nvalid", "_ndirty", "_fills",
-                 "_version", "_dirty", "_clock", "_resident_set")
+                 "_version", "_dirty", "_clock", "_count")
 
     def __init__(self, capacity_pages: Optional[int], blocks_per_page: int) -> None:
         if capacity_pages is not None and capacity_pages <= 0:
@@ -102,7 +107,7 @@ class PageCache:
         self._version = array("q")            # global block -> version, -1 invalid
         self._dirty = bytearray()             # global block -> 0/1
         self._clock = array("q", [0])         # monotonic LRU clock (length 1)
-        self._resident_set: set[int] = set()
+        self._count = array("q", [0])         # occupied frames (length 1)
 
     # -- storage ------------------------------------------------------------------
 
@@ -139,7 +144,7 @@ class PageCache:
         """True when a new allocation would require evicting a victim page."""
         if self.capacity_pages is None:
             return False
-        return len(self._resident_set) >= self.capacity_pages
+        return self._count[0] >= self.capacity_pages
 
     def contains(self, page: int) -> bool:
         """True if ``page`` currently occupies a frame."""
@@ -148,14 +153,19 @@ class PageCache:
 
     def occupancy(self) -> int:
         """Number of occupied page frames."""
-        return len(self._resident_set)
+        return self._count[0]
+
+    def _resident_stamps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The resident page ids and their LRU stamps."""
+        pages = np.flatnonzero(np.frombuffer(self._resident, dtype=np.uint8))
+        return pages, np.frombuffer(self._stamp, dtype=np.int64)[pages]
 
     def choose_victim(self) -> Optional[int]:
         """Page id of the least-recently-used resident page, or None if empty."""
-        if not self._resident_set:
+        if not self._count[0]:
             return None
-        stamp = self._stamp
-        return min(self._resident_set, key=lambda p: stamp[p])
+        pages, stamps = self._resident_stamps()
+        return int(pages[np.argmin(stamps)])
 
     def allocate(self, page: int) -> "_CachedPage":
         """Allocate a frame for ``page`` (which must not already be resident).
@@ -171,7 +181,7 @@ class PageCache:
             raise RuntimeError("page cache is full; evict a victim first")
         self.reserve(page + 1)
         self._resident[page] = 1
-        self._resident_set.add(page)
+        self._count[0] += 1
         self._clock[0] += 1
         self._stamp[page] = self._clock[0]
         self.stats.allocations += 1
@@ -193,7 +203,7 @@ class PageCache:
                 version[b] = -1
                 dirty[b] = 0
         self._resident[page] = 0
-        self._resident_set.discard(page)
+        self._count[0] -= 1
         self._stamp[page] = 0
         self._nvalid[page] = 0
         self._ndirty[page] = 0
@@ -288,19 +298,19 @@ class PageCache:
 
     def resident_pages(self) -> Iterator[int]:
         """Iterate over resident page ids in LRU order (oldest first)."""
-        stamp = self._stamp
-        return iter(sorted(self._resident_set, key=lambda p: stamp[p]))
+        pages, stamps = self._resident_stamps()
+        return iter(pages[np.argsort(stamps)].tolist())
 
     def clear(self) -> None:
         """Drop all pages (statistics preserved)."""
-        for page in list(self._resident_set):
-            base = page * self.blocks_per_page
-            for b in range(base, base + self.blocks_per_page):
-                self._version[b] = -1
-                self._dirty[b] = 0
-            self._resident[page] = 0
-            self._stamp[page] = 0
-            self._nvalid[page] = 0
-            self._ndirty[page] = 0
-            self._fills[page] = 0
-        self._resident_set.clear()
+        pages, _ = self._resident_stamps()
+        bpp = self.blocks_per_page
+        version = np.frombuffer(self._version, dtype=np.int64).reshape(-1, bpp)
+        dirty = np.frombuffer(self._dirty, dtype=np.uint8).reshape(-1, bpp)
+        version[pages] = -1
+        dirty[pages] = 0
+        for store, dtype in ((self._resident, np.uint8),
+                             (self._stamp, np.int64), (self._nvalid, np.int64),
+                             (self._ndirty, np.int64), (self._fills, np.int64)):
+            np.frombuffer(store, dtype=dtype)[pages] = 0
+        self._count[0] = 0

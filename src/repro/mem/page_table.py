@@ -26,8 +26,8 @@ Storage layout
 --------------
 Mapping state lives in flat parallel arrays indexed by global page id: a
 mode-code bytearray (see :data:`MODE_CODES`), a writable bytearray,
-buffer-backed fault counts (``array("q")`` so the compiled residual
-kernel can view them) and a remap count list, plus a ``tracked`` byte
+buffer-backed fault and remap counts (``array("q")`` so the compiled
+kernel can view and bump them), plus a ``tracked`` byte
 distinguishing "never touched" from "touched and currently unmapped".  :class:`PageMode` enum
 objects are materialized only at the API boundary (``mode_of`` and the
 :class:`PageTableEntry` view); the hot paths in the protocol layer and the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 
 class PageMode(enum.Enum):
@@ -129,7 +129,7 @@ class PageTable:
         self._modes = bytearray()
         self._writable = bytearray()
         self._faults = array("q")
-        self._remaps: List[int] = []
+        self._remaps = array("q")
         self._tracked = bytearray()
         # entry()/peek() view objects, one per page, created on demand so
         # repeated calls return the same object (callers may hold them)
@@ -148,7 +148,7 @@ class PageTable:
         self._modes += bytes(grow)
         self._writable += b"\x01" * grow      # pages default to writable
         self._faults.frombytes(bytes(8 * grow))
-        self._remaps += [0] * grow
+        self._remaps.frombytes(bytes(8 * grow))
         self._tracked += bytes(grow)
 
     # -- lookup --------------------------------------------------------------------

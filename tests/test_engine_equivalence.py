@@ -62,7 +62,105 @@ def fingerprint(machine: Machine, stats) -> dict:
         "directory": (machine.directory.num_tracked(),
                       machine.directory.invalidations_sent,
                       machine.directory.writebacks),
+        **_page_op_state(machine),
     }
+
+
+def _nonzero(seq) -> list:
+    """``(index, value)`` of every non-zero entry of a flat store."""
+    return [(i, v) for i, v in enumerate(seq) if v]
+
+
+def _page_op_state(machine: Machine) -> dict:
+    """Everything a page operation writes, compared over tracked pages and
+    blocks and non-zero counters only: the kernel reserves whole pages
+    ahead of its walk, so raw store lengths differ between engines."""
+    protocol = machine.protocol
+    directory = machine.directory
+    vm = machine.vm
+    out = {
+        "fault_logs": [
+            (sorted((k.value, v) for k, v in log.counts.items()),
+             sorted((k.value, v) for k, v in log.cycles.items()))
+            for log in machine.fault_logs],
+        "page_tables": [
+            ([(pg, pt._modes[pg], pt._writable[pg], pt._faults[pg],
+               pt._remaps[pg])
+              for pg, t in enumerate(pt._tracked) if t],
+             pt.soft_faults, pt.protection_faults)
+            for pt in machine.page_tables],
+        "vm": ([(pg, rec.home, rec.first_toucher, rec.migrations,
+                 rec.replicated, sorted(rec.replicas))
+                for pg in sorted(vm.pages())
+                for rec in (vm.record(pg),)],
+               vm.first_touches, vm.migrations, vm.replications,
+               vm.replica_collapses),
+        "directory_rows": [
+            (b, directory._sharers[b], directory._owner[b],
+             directory._version[b]) for b in directory.tracked_blocks()],
+        "departed": [_nonzero(dep) for dep in directory._departed],
+        "block_frames": [
+            [(i, b, bc._versions[i], bool(bc._dirty[i]))
+             for i, b in enumerate(bc._blocks) if b >= 0]
+            for bc in machine.block_caches],
+    }
+    lines = []
+    for proc in machine.processors:
+        cache = proc.cache
+        if hasattr(cache, "line_state"):
+            blocks, versions, dirty = cache.line_state()
+            lines.append([(i, b, versions[i], bool(dirty[i]))
+                          for i, b in enumerate(blocks) if b >= 0])
+        else:
+            lines.append(sorted(cache.resident_blocks()))
+    out["l1_lines"] = lines
+    caches = []
+    for pc in machine.page_caches:
+        if pc is None:
+            caches.append(None)
+            continue
+        bpp = pc.blocks_per_page
+        resident = [pg for pg, r in enumerate(pc._resident) if r]
+        caches.append((
+            [(pg, pc._stamp[pg], pc._nvalid[pg], pc._ndirty[pg],
+              pc._fills[pg],
+              [(b, pc._version[b], pc._dirty[b])
+               for b in range(pg * bpp, (pg + 1) * bpp)
+               if pc._version[b] >= 0])
+             for pg in resident],
+            pc.occupancy(), pc._clock[0],
+            (pc.stats.allocations, pc.stats.evictions, pc.stats.block_hits,
+             pc.stats.block_misses, pc.stats.block_fills,
+             pc.stats.block_invalidations)))
+    out["page_caches"] = caches
+    engines = []
+    for attr in ("engine", "migration_engine"):
+        eng = getattr(protocol, attr, None)
+        if eng is not None:
+            engines.append({k: list(v) for k, v in vars(eng).items()
+                            if k.endswith("_by_node")})
+    out["engines"] = engines
+    counters = []
+    for attr in ("counters", "migrep_counters"):
+        c = getattr(protocol, attr, None)
+        if c is not None:
+            nn = c.num_nodes
+            rows = []
+            for pg in range(c._cap):
+                base = pg * nn
+                row = (tuple(c._read[base:base + nn]),
+                       tuple(c._write[base:base + nn]), c._since[pg],
+                       c._live_r[pg], c._live_w[pg])
+                if any(row[2:]) or any(row[0]) or any(row[1]):
+                    rows.append((pg, row))
+            counters.append((rows, c.resets))
+    out["migrep_counters"] = counters
+    refetch = getattr(protocol, "refetch_counters", None)
+    if refetch is not None:
+        out["refetch"] = [(_nonzero(rc._counts), rc.total_recorded)
+                          for rc in refetch]
+        out["page_miss_totals"] = _nonzero(protocol._page_miss_totals)
+    return out
 
 
 def run_both(cfg: SimulationConfig, system: str, trace: Trace):

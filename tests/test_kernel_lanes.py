@@ -31,7 +31,12 @@ from repro.workloads.spec import SharingPattern
 from repro.workloads.trace import PhaseTrace, Trace
 from repro.workloads.tracefile import open_trace
 
-from helpers import make_simple_spec, make_trace, require_c_backend
+from helpers import (
+    assert_invariants,
+    make_simple_spec,
+    make_trace,
+    require_c_backend,
+)
 from test_engine_equivalence import draw_phases, fingerprint
 
 #: adaptive / mixed-policy variants layered over the stock systems
@@ -78,22 +83,34 @@ def _spec_for(name: str):
     return build_system(name)
 
 
+def _op_totals(stats) -> dict:
+    """Machine-wide relocation, replication and migration counts."""
+    return {op: sum(getattr(n, op) for n in stats.nodes)
+            for op in ("relocations", "replications", "migrations")}
+
+
 def _assert_kernel_matches_batched(cfg, spec, trace, monkeypatch,
-                                   expect_bails=()):
+                                   expect_bails=(), expect_ops=()):
     require_c_backend()
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
     ref_machine = Machine(cfg, spec)
-    ref = fingerprint(ref_machine, ref_machine.run(trace, engine="batched"))
+    ref_stats = ref_machine.run(trace, engine="batched")
+    assert_invariants(ref_machine, ref_stats)
+    ref = fingerprint(ref_machine, ref_stats)
     machine = Machine(cfg, spec)
     stats = machine.run(trace, engine="kernel")
+    assert_invariants(machine, stats)
     prof = stats.engine_profile
     assert prof["engine"] == "kernel", prof.get("fallback_reason")
     assert prof["backend"] == "c"
     assert prof["bails"] == sum(prof["bail_kinds"].values())
     for kind in expect_bails:
         assert prof["bail_kinds"][kind] > 0, (kind, prof["bail_kinds"])
+    ops = _op_totals(stats)
+    for op in expect_ops:
+        assert ops[op] > 0, (op, ops)
     assert fingerprint(machine, stats) == ref
-    return prof
+    return stats
 
 
 class TestFullFamilyEquivalence:
@@ -105,16 +122,26 @@ class TestFullFamilyEquivalence:
         _assert_kernel_matches_batched(cfg, _spec_for(system),
                                        _harsh_trace(cfg), monkeypatch)
 
-    #: hysteresis MigRep evaluations are inlined in the walk, so only
-    #: fired decisions bail; every other adaptive policy bails to the
-    #: Python evaluation point on each remote miss
+    #: hysteresis MigRep evaluations are inlined in the walk, and so are
+    #: the page operations they fire; every other adaptive policy bails
+    #: to the Python evaluation point on each remote miss
     EXPECT_BAILS = {
         "migrep-competitive": ("decide",),
-        "migrep-hysteresis": ("replicate", "migrate"),
+        "migrep-hysteresis": (),
         "rnuma-hysteresis": ("decide",),
         "rnuma-competitive": ("decide",),
-        "hybrid-hysteresis": ("decide", "migrate"),
-        "hybrid-mixed": ("decide", "migrate"),
+        "hybrid-hysteresis": ("decide",),
+        "hybrid-mixed": ("decide",),
+    }
+
+    #: the page operations each variant must perform, read from the stats
+    EXPECT_OPS = {
+        "migrep-competitive": ("migrations",),
+        "migrep-hysteresis": ("replications", "migrations"),
+        "rnuma-hysteresis": ("relocations",),
+        "rnuma-competitive": ("relocations",),
+        "hybrid-hysteresis": ("relocations", "migrations"),
+        "hybrid-mixed": ("replications", "migrations"),
     }
 
     @pytest.mark.parametrize("variant", sorted(POLICY_VARIANTS))
@@ -123,11 +150,12 @@ class TestFullFamilyEquivalence:
         cfg = _harsh_config()
         prof = _assert_kernel_matches_batched(
             cfg, _spec_for(variant), _harsh_trace(cfg), monkeypatch,
-            expect_bails=self.EXPECT_BAILS[variant])
+            expect_bails=self.EXPECT_BAILS[variant],
+            expect_ops=self.EXPECT_OPS[variant]).engine_profile
         if variant == "migrep-hysteresis":
-            # the pure-hysteresis MigRep never leaves the compiled loop
-            # for an evaluation that decides NONE
-            assert prof["bail_kinds"]["decide"] == 0
+            # the pure-hysteresis MigRep never leaves the compiled loop,
+            # neither to evaluate nor to run what it decides
+            assert prof["bails"] == prof["bail_kinds"]["collapse"]
 
 
 class TestLaneActivation:
@@ -135,12 +163,17 @@ class TestLaneActivation:
 
     def test_relocation_storm(self, monkeypatch):
         """Capacity thrash drives refetches over the static threshold:
-        the rnuma lane fires relocate bails and stays exact."""
+        the walk relocates in place while the 4-frame page cache has a
+        free frame, and bails once a relocation must evict first."""
         cfg = _harsh_config()
-        prof = _assert_kernel_matches_batched(
+        stats = _assert_kernel_matches_batched(
             cfg, build_system("rnuma"), _harsh_trace(cfg), monkeypatch,
-            expect_bails=("relocate",))
-        assert prof["bail_kinds"]["relocate"] > 100
+            expect_bails=("relocate",), expect_ops=("relocations",))
+        relocations = _op_totals(stats)["relocations"]
+        assert relocations > 100
+        evictions = sum(n.page_cache_evictions for n in stats.nodes)
+        assert stats.engine_profile["bail_kinds"]["relocate"] == evictions
+        assert relocations > evictions
 
     @pytest.mark.parametrize("system", ["scoma", "scoma-inf"])
     def test_page_cache_replacement(self, system, monkeypatch):
@@ -154,9 +187,10 @@ class TestLaneActivation:
     def test_hybrid_fires_both_decisions(self, monkeypatch):
         """rnuma-migrep triggers relocations and migrations in one run."""
         cfg = _harsh_config()
-        _assert_kernel_matches_batched(
+        stats = _assert_kernel_matches_batched(
             cfg, build_system("rnuma-migrep"), _harsh_trace(cfg),
-            monkeypatch, expect_bails=("relocate", "migrate"))
+            monkeypatch, expect_ops=("relocations", "migrations"))
+        assert stats.engine_profile["bail_kinds"]["migrate"] == 0
 
 
 class TestInfiniteBlockCache:
@@ -171,13 +205,17 @@ class TestInfiniteBlockCache:
         trace = _harsh_trace(cfg)
         legacy = Machine(cfg, spec)
         assert all(bc.is_infinite for bc in legacy.block_caches)
-        ref = fingerprint(legacy, legacy.run(trace, engine="legacy"))
+        legacy_stats = legacy.run(trace, engine="legacy")
+        assert_invariants(legacy, legacy_stats)
+        ref = fingerprint(legacy, legacy_stats)
         batched = Machine(cfg, spec)
         assert fingerprint(batched, batched.run(trace,
                                                 engine="batched")) == ref
-        _assert_kernel_matches_batched(
+        prof = _assert_kernel_matches_batched(
             cfg, spec, trace, monkeypatch,
-            expect_bails=("replicate", "migrate"))
+            expect_ops=("replications", "migrations")).engine_profile
+        assert prof["bail_kinds"]["replicate"] == 0
+        assert prof["bail_kinds"]["migrate"] == 0
 
 
 class TestRandomLaneTraces:
@@ -226,19 +264,22 @@ def streamed_rpt(tmp_path_factory):
 
 def _assert_engines_agree(system, trace, monkeypatch):
     """legacy, batched and the C walk agree on ``trace`` under the harsh
-    configuration, and the kernel run really ran compiled."""
+    configuration, and the kernel run really ran compiled.  Returns the
+    kernel run's stats."""
     require_c_backend()
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
     cfg = _harsh_config()
     fps = {}
     for engine in ("legacy", "batched", "kernel"):
-        machine = Machine(cfg, build_system(system))
+        machine = Machine(cfg, _spec_for(system))
         stats = machine.run(trace, engine=engine)
+        assert_invariants(machine, stats)
         fps[engine] = fingerprint(machine, stats)
     prof = stats.engine_profile
     assert prof["engine"] == "kernel", prof.get("fallback_reason")
     assert fps["batched"] == fps["legacy"]
     assert fps["kernel"] == fps["legacy"]
+    return stats
 
 
 class TestStoreGrowth:
@@ -320,3 +361,48 @@ class TestCursorShapes:
              [k % 5 == 0 for k in range(50)])])
         _assert_engines_agree(system, self._trace("uneven", shaped),
                               monkeypatch)
+
+
+class TestPageOpsInWalk:
+    """Fired page operations run inside the walk: legacy, batched and the
+    C walk agree, and only the operations that need Python bail."""
+
+    def test_infinite_page_cache_relocates_without_bailing(self,
+                                                           monkeypatch):
+        cfg = _harsh_config()
+        stats = _assert_engines_agree("rnuma-inf", _harsh_trace(cfg),
+                                      monkeypatch)
+        assert _op_totals(stats)["relocations"] > 0
+        assert stats.engine_profile["bail_kinds"]["relocate"] == 0
+
+    def test_walk_relocations_and_eviction_bails_share_a_phase(
+            self, monkeypatch):
+        """One work phase on the 4-frame page cache: the walk relocates
+        while a frame is free and bails for each relocation that evicts.
+        The init phase before it only places pages (it relocates
+        nothing), so every relocation falls in the one work phase."""
+        cfg = _harsh_config()
+        harsh = _harsh_trace(cfg)
+        trace = Trace(name="one-work-phase", num_procs=harsh.num_procs,
+                      phases=harsh.phases[:2])
+        stats = _assert_engines_agree("rnuma", trace, monkeypatch)
+        bails = stats.engine_profile["bail_kinds"]["relocate"]
+        assert bails > 0
+        assert bails == sum(n.page_cache_evictions for n in stats.nodes)
+        assert _op_totals(stats)["relocations"] > bails
+
+    @pytest.mark.parametrize("system, ops", [
+        ("mig", ("migrations",)),
+        ("rep", ("replications",)),
+        ("migrep", ("replications", "migrations")),
+    ])
+    def test_migrep_operations_run_in_the_walk(self, system, ops,
+                                               monkeypatch):
+        cfg = _harsh_config()
+        stats = _assert_engines_agree(system, _harsh_trace(cfg),
+                                      monkeypatch)
+        totals = _op_totals(stats)
+        for op in ops:
+            assert totals[op] > 0, (op, totals)
+        kinds = stats.engine_profile["bail_kinds"]
+        assert kinds["replicate"] == 0 and kinds["migrate"] == 0
