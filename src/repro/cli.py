@@ -793,9 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--profile", action="store_true",
                        help="print the engine's per-lane breakdown (fast/"
                             "demoted/residual reference counts and wall "
-                            "time) plus the runner's cache counters; on "
+                            "time), the kernel's bails back to Python by "
+                            "kind and the runner's cache counters; on "
                             "kernel rows fast is 0 and residual counts "
-                            "every reference")
+                            "every reference, and page operations the "
+                            "walk performs itself count as no bail")
 
     for name in ("figure5", "figure6", "figure7", "figure8",
                  "table1", "table2", "table3", "table4"):

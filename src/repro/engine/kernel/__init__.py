@@ -13,18 +13,23 @@ repair — the next probe of a flushed line misses.
 
 The walk runs the probe/upgrade/local-fill/block-cache lanes — plus
 the page-cache probe lane for S-COMA-family systems, the home-side
-MigRep counter bumps with the static-threshold decision tests, and the
-requester-side R-NUMA refetch counters with the static relocation test —
-entirely in compiled code, and *bails* back to this driver for the
-events that need real protocol machinery: mapping faults, writes to
-replicated pages, fired migration/replication/relocation decisions,
-S-COMA first-touch allocations (``pagecache``), and adaptive-policy
-evaluation points (``decide``).  The driver services the bail with
-ordinary protocol calls, folds the delta mirrors, and re-enters the
-walk at its interleave cursor, just past the bailed reference.
-Bails are rare (hundreds per million references on the paper's
-workloads; decision evaluations are orders of magnitude rarer than
-references), so the walk's speed dominates.
+MigRep counter bumps with the static-threshold and hysteresis decision
+tests, and the requester-side R-NUMA refetch counters with the static
+relocation test — entirely in compiled code, and so are the page
+operations those decisions fire: a relocation into a page cache with a
+free frame, a replication, and a migration of an unreplicated page.
+It *bails* back to this driver for the events that need real protocol
+machinery: mapping faults under a placement policy, writes to
+replicated pages (``collapse``), relocations that must first evict a
+page-cache victim (``relocate``), a fired migration of a replicated
+page, which ``vm.migrate`` refuses (``migrate``), S-COMA first-touch
+allocations (``pagecache``), and adaptive-policy evaluation points
+(``decide``).  The driver services the bail with ordinary protocol
+calls and re-enters the walk at its interleave cursor, just past the
+bailed reference; the delta mirrors are folded at phase end.  Under the
+stock policies bails are rare: ``repro exp figure5 --scale 0.5`` bails
+36 times in 10.8 million references, all of them replica collapses, so
+the walk's speed dominates.
 
 Only systems whose whole walk the kernel can express run on
 the kernel: the exact stock protocol family (``ccnuma``, ``perfect``,

@@ -707,7 +707,8 @@ int64_t repro_kernel_walk(
             if (pc_res[node][page]) {
                 /* transcription of RNUMAProtocol._scoma_fetch on the
                  * flat page-cache arrays (block tags live at the global
-                 * block index); residency only ever changes in Python */
+                 * block index); residency changes only by relocation
+                 * and eviction */
                 pc_clock[node][0] += 1;
                 pc_stamp[node][page] = pc_clock[node][0];
                 version = dir_versions[block];

@@ -19,18 +19,23 @@ Marshalling contract
   growth would raise ``BufferError`` instead of silently leaving the
   kernel with dangling pointers.  :meth:`KernelState.reserve_for_phase`
   therefore pre-reserves every store past the phase's maxima (whole
-  pages, so page operations executed during bails cannot grow anything
-  either) *before* the views are taken.  The walk's bound runner
-  (:meth:`KernelState.bind_walk`) pins the views too, so it lives on the
-  state and :meth:`release` drops it with them before the next phase's
-  reserve.
+  pages, since a page operation, in the walk or in a bail, touches
+  every block of its page) *before* the views are taken.  The walk's
+  bound runner (:meth:`KernelState.bind_walk`) pins the views too, so
+  it lives on the state and :meth:`release` drops it with them before
+  the next phase's reserve.
 * **Python-object state is mirrored as deltas.**  Counters that live in
   plain Python attributes (``NodeStats`` fields, cache statistics, the
-  directory's scalar counters, message counts) accumulate in int64 delta
+  directory's scalar counters, message counts, and what the walk's own
+  page operations count: the engines' per-node lists, the fault logs,
+  page-cache allocations and the VM's totals) accumulate in int64 delta
   arrays that :meth:`flush` folds into the owning objects at the end of
   every phase.  Bail-time protocol code only ever *increments* these
   counters, and addition commutes — so the deltas can stay parked
-  across bails without any observable difference.
+  across bails without any observable difference.  Everything else a
+  page operation writes (VM columns, page-table rows, page-cache
+  residency and occupancy) is a shared store, so the walk writes it in
+  place and nothing is replayed afterwards.
 * **Serialising resources are mirrored as absolutes.**  NIC and bus
   ``next_free`` times are copied in at phase start
   (:meth:`load_absolutes`) and written back by ``flush``.  NICs are the
@@ -333,10 +338,10 @@ class KernelState:
         """Pre-reserve every growable store past this phase's maxima.
 
         Reservation covers *whole pages* (``(max_page + 1) * bpp``
-        blocks): page operations executed during bails touch every block
-        of the faulting page, and nothing a phase can do reaches beyond
-        its pages — so no in-place growth can happen while the views
-        below hold the buffers' export locks.
+        blocks): a page operation touches every block of its page, and
+        nothing a phase can do reaches beyond its pages — so no in-place
+        growth can happen while the views below hold the buffers'
+        export locks.
         """
         if max_block < 0:
             return

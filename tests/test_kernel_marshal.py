@@ -51,6 +51,10 @@ class TestZeroCopyViews:
             (kstate.vm_home, np.frombuffer(vm._home, dtype=np.int64)),
             (kstate.vm_replicated,
              np.frombuffer(vm._replicated, dtype=np.uint8)),
+            (kstate.vm_first,
+             np.frombuffer(vm._first_toucher, dtype=np.int64)),
+            (kstate.vm_migrations,
+             np.frombuffer(vm._migrations, dtype=np.int64)),
             (kstate.dir_sharers,
              np.frombuffer(directory._sharers, dtype=np.int64)),
             (kstate.dir_versions,
@@ -59,6 +63,10 @@ class TestZeroCopyViews:
              np.frombuffer(machine.page_tables[0]._modes, dtype=np.uint8)),
             (kstate.pt_faults[0],
              np.frombuffer(machine.page_tables[0]._faults, dtype=np.int64)),
+            (kstate.pt_writable[0],
+             np.frombuffer(machine.page_tables[0]._writable, dtype=np.uint8)),
+            (kstate.pt_remaps[0],
+             np.frombuffer(machine.page_tables[0]._remaps, dtype=np.int64)),
             (kstate.bc_blocks[0],
              np.frombuffer(machine.block_caches[0]._blocks, dtype=np.int64)),
             (kstate.ctr_read,

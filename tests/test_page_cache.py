@@ -147,8 +147,20 @@ class TestBlockOperations:
         pc = PageCache(4, 16)
         pc.allocate(1)
         pc.allocate(2)
+        pc.fill_block(2, 3, 5, dirty=True)
         pc.clear()
         assert pc.occupancy() == 0
+        assert list(pc.resident_pages()) == []
+        assert not pc.contains(2)
+        pc.allocate(2)
+        assert pc.valid_blocks(2) == pc.dirty_blocks(2) == 0
+
+    def test_resident_pages_in_lru_order(self):
+        pc = PageCache(4, 16)
+        for page in (9, 4, 7):
+            pc.allocate(page)
+        pc.lookup_block(9, 0, 0)      # touch page 9: it becomes the newest
+        assert list(pc.resident_pages()) == [4, 7, 9]
 
 
 class TestProperties:
