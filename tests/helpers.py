@@ -86,6 +86,10 @@ def assert_invariants(machine, stats) -> None:
             if not tracked:
                 continue
             mode = pt._modes[page]
+            assert bool(pt._writable[page]) == (mode != replica), (
+                f"node {node} page {page}: writable "
+                f"{pt._writable[page]} in mode {mode} (only a replica is "
+                f"read-only)")
             if mode == local_home:
                 assert vm.home_of(page) == node, (
                     f"node {node} maps page {page} LOCAL_HOME but its home "

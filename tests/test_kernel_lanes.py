@@ -406,3 +406,15 @@ class TestPageOpsInWalk:
             assert totals[op] > 0, (op, totals)
         kinds = stats.engine_profile["bail_kinds"]
         assert kinds["replicate"] == 0 and kinds["migrate"] == 0
+
+    def test_replicas_survive_read_only(self, monkeypatch):
+        """On a read-only shared trace no write collapses the replicas
+        the walk installs, so the run ends with read-only replica
+        mappings for the fingerprint and the invariants to check."""
+        cfg = _harsh_config()
+        spec = make_simple_spec(pattern=SharingPattern.READ_SHARED,
+                                pages=16, accesses=600, write_fraction=0.0)
+        trace = make_trace(spec, cfg.machine, seed=3)
+        stats = _assert_engines_agree("rep", trace, monkeypatch)
+        assert _op_totals(stats)["replications"] > 0
+        assert stats.engine_profile["bails"] == 0
