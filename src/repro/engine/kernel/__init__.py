@@ -18,15 +18,16 @@ tests, and the requester-side R-NUMA refetch counters with the static
 relocation test — entirely in compiled code, and so are the page
 operations those decisions fire: a relocation into a page cache with a
 free frame, a replication, and a migration of an unreplicated page.
-It *bails* back to this driver for the events that need real protocol
-machinery: mapping faults under a placement policy, writes to
-replicated pages (``collapse``), relocations that must first evict a
-page-cache victim (``relocate``), a fired migration of a replicated
-page, which ``vm.migrate`` refuses (``migrate``), S-COMA first-touch
-allocations (``pagecache``), and adaptive-policy evaluation points
-(``decide``).  The driver services the bail with ordinary protocol
-calls and re-enters the walk at its interleave cursor, just past the
-bailed reference; the delta mirrors are folded at phase end.  Under the
+It *bails* back to the Python loop of :func:`run_kernel` for the
+events that need real protocol machinery: mapping faults under a
+placement policy, writes to replicated pages (``collapse``),
+relocations that must first evict a page-cache victim (``relocate``),
+a fired migration of a replicated page, which ``vm.migrate`` refuses
+(``migrate``), S-COMA first-touch allocations (``pagecache``), and
+adaptive-policy evaluation points (``decide``).  That loop services
+the bail with ordinary protocol calls and re-enters the walk at its
+interleave cursor, just past the bailed reference; the delta mirrors
+are folded at phase end.  Under the
 stock policies bails are rare: ``repro exp figure5 --scale 0.5`` bails
 36 times in 10.8 million references, all of them replica collapses, so
 the walk's speed dominates.
