@@ -54,7 +54,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.counters import MigRepCounters, RefetchCounters
 from repro.registry import POLICIES, NamesView, register_policy
@@ -482,6 +482,13 @@ class HysteresisRelocationPolicy(DecisionPolicy):
     only when refetches arrive densely enough for the score to outrun
     its decay.
 
+    Storage mirrors :class:`~repro.core.counters.RefetchCounters`: one
+    flat ``array('d')`` column per node, indexed by page and grown in
+    place via :meth:`reserve`, so the compiled walk views the columns
+    zero-copy and carries a line-for-line transcription of
+    :meth:`should_relocate`.  Firing zeroes the cell, and a zero cell
+    reads the same as a never-scored one (``0.0 * decay + 1.0``).
+
     Parameters
     ----------
     threshold:
@@ -496,8 +503,8 @@ class HysteresisRelocationPolicy(DecisionPolicy):
     threshold: float
     decay: float = 0.9
     relocation_delay: int = 0
-    _scores: Dict[Tuple[int, int], float] = field(default_factory=dict,
-                                                  repr=False)
+    _scores: List[array] = field(default_factory=list, repr=False)
+    _cap: int = field(default=0, repr=False)
 
     name = "hysteresis"
 
@@ -512,18 +519,39 @@ class HysteresisRelocationPolicy(DecisionPolicy):
                 f"saturates at {1.0 / (1.0 - self.decay):.1f} for "
                 f"decay={self.decay}")
 
+    def reserve(self, n: int, *, num_nodes: int = 0) -> None:
+        """Grow the columns (in place) to cover page ids ``< n``, and add
+        columns until there is one per node ``< num_nodes``."""
+        cols = self._scores
+        cap = self._cap
+        if n > cap:
+            grow = max(n, 2 * cap, 256) - cap
+            for col in cols:
+                col.frombytes(bytes(8 * grow))
+            self._cap = cap = cap + grow
+        while len(cols) < num_nodes:
+            cols.append(array("d", bytes(8 * cap)))
+
+    def pressure(self, page: int, node: int) -> float:
+        """Current decayed pressure score for ``(page, node)``."""
+        if node < len(self._scores) and page < self._cap:
+            return self._scores[node][page]
+        return 0.0
+
     def should_relocate(self, counters: RefetchCounters, page: int,
                         *, page_total_misses: int = 0, node: int = 0) -> bool:
         """Bump the (node, page) pressure score and compare to the trigger."""
-        key = (node, page)
-        score = self._scores.get(key, 0.0) * self.decay + 1.0
+        if node >= len(self._scores) or page >= self._cap:
+            self.reserve(page + 1, num_nodes=node + 1)
+        col = self._scores[node]
+        score = col[page] * self.decay + 1.0
         if self.relocation_delay and page_total_misses < self.relocation_delay:
-            self._scores[key] = score
+            col[page] = score
             return False
         if score > self.threshold:
-            del self._scores[key]
+            col[page] = 0.0
             return True
-        self._scores[key] = score
+        col[page] = score
         return False
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 from repro.core.ccnuma import CCNUMAProtocol
 from repro.core.counters import RefetchCounters
-from repro.core.decisions import RNUMAPolicy, resolve_policy
+from repro.core.decisions import resolve_policy
 from repro.kernel.faults import FaultKind
 from repro.kernel.relocation import RelocationEngine
 from repro.mem.page_table import PageMode
@@ -53,13 +53,6 @@ class RNUMAProtocol(CCNUMAProtocol):
         self.policy = resolve_policy(
             "rnuma", self.cfg, spec=getattr(machine, "system", None),
             policy=policy, **delay)
-        # exact-type check: a subclass may override should_relocate, so it
-        # only counts as the static paper rule when it *is* the base class.
-        # The compiled kernel inlines the static threshold test from these
-        # scalars; adaptive policies bail to Python at each evaluation.
-        self._rn_static = type(self.policy) is RNUMAPolicy
-        self._rn_threshold = self.policy.threshold if self._rn_static else 0
-        self._rn_delay = (self.policy.relocation_delay or 0) if self._rn_static else 0
         self.engine = RelocationEngine(
             addr=self.addr,
             costs=self.costs,

@@ -16,8 +16,10 @@ defines *how* the reference stream is executed:
     The compiled kernel (:mod:`repro.engine.kernel`): the interpreter's
     loop transcribed to flat arrays in C (``cwalk.c``, built on demand
     with the system compiler), walking each phase's raw streams and
-    probing every reference, bailing to Python only for page
-    operations, mapping faults and adaptive-policy evaluations.  Every stock system runs on it; shapes it cannot
+    probing every reference, bailing to Python only for the page
+    operations and mapping faults it cannot express and for the
+    evaluations of decision policies it does not know.  Every stock
+    system runs on it; shapes it cannot
     express (user protocol subclasses, exotic or heterogeneous caches),
     and every run on a host with no working C compiler, transparently
     fall back to ``batched`` for the run, recording the reason in

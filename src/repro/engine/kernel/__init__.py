@@ -13,24 +13,29 @@ repair — the next probe of a flushed line misses.
 
 The walk runs the probe/upgrade/local-fill/block-cache lanes — plus
 the page-cache probe lane for S-COMA-family systems, the home-side
-MigRep counter bumps with the static-threshold and hysteresis decision
-tests, and the requester-side R-NUMA refetch counters with the static
-relocation test — entirely in compiled code, and so are the page
-operations those decisions fire: a relocation into a page cache with a
-free frame, a replication, and a migration of an unreplicated page.
+MigRep counter bumps and the requester-side R-NUMA refetch counters,
+each with its decision test — entirely in compiled code.  Every stock
+decision policy is evaluated there: the static-threshold, competitive
+and cost-model rules as the integer thresholds
+:func:`~repro.engine.kernel.state.lower_policy` lowers them to, the
+hysteresis rules by transcription.  So are the page operations those
+decisions fire: a relocation into a page cache with a free frame, a
+replication, and a migration of an unreplicated page.
 It *bails* back to the Python loop of :func:`run_kernel` for the
 events that need real protocol machinery: mapping faults under a
 placement policy, writes to replicated pages (``collapse``),
 relocations that must first evict a page-cache victim (``relocate``),
 a fired migration of a replicated page, which ``vm.migrate`` refuses
 (``migrate``), S-COMA first-touch allocations (``pagecache``), and
-adaptive-policy evaluation points (``decide``).  That loop services
+evaluations of a policy the walk does not know, such as a user
+subclass or registration (``decide``).  That loop services
 the bail with ordinary protocol calls and re-enters the walk at its
 interleave cursor, just past the bailed reference; the delta mirrors
 are folded at phase end.  Under the
 stock policies bails are rare: ``repro exp figure5 --scale 0.5`` bails
-36 times in 10.8 million references, all of them replica collapses, so
-the walk's speed dominates.
+36 times in 10.8 million references, all of them replica collapses, and
+``repro exp policy-adaptivity --scale 0.15`` 280 times, so the walk's
+speed dominates.
 
 Only systems whose whole walk the kernel can express run on
 the kernel: the exact stock protocol family (``ccnuma``, ``perfect``,
@@ -38,9 +43,10 @@ the kernel: the exact stock protocol family (``ccnuma``, ``perfect``,
 their capacity variants) with homogeneous block caches and stock base
 machinery.  An infinite block cache rides the CC-NUMA lane: its frames
 are indexed by block id (``CON_BC_CAP`` exceeds every block id).
-Adaptive decision policies ride the compiled walk via the ``decide``
-bail.  Everything else — user-registered subclasses, exotic or
-heterogeneous caches — transparently falls back to the batched engine
+Any decision policy rides the compiled walk: one the walk does not
+know bails ``decide`` at each of its evaluations.  Everything else —
+user-registered protocol subclasses, exotic or heterogeneous caches —
+transparently falls back to the batched engine
 for the whole run, recording *every* failing condition in
 ``engine_profile["fallback_reason"]``.  So does every run on a host
 where the C walk cannot be built.
@@ -300,8 +306,8 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                         int(out[OUT_HOME]), mode)
                     fault = int(out[OUT_FAULT])
                 elif rc == RC_BAIL_DECIDE:
-                    # the walk completed the fill; run the adaptive
-                    # decision evaluations it flagged, in batched order
+                    # the walk completed the fill; run the evaluations
+                    # of the policies it does not know, in batched order
                     service = int(out[OUT_SERVICE])
                     version = int(out[OUT_VERSION])
                     remote = True

@@ -2,13 +2,15 @@
 
 ``cwalk.c`` needs no Python headers — it is a single translation unit of
 plain C99 operating on raw array pointers — so any C compiler can build
-it: ``cc -O2 -shared -fPIC`` and nothing else.  The translation unit is
-generated: the layout constants of :mod:`repro.engine.kernel.state`
+it: ``cc -O2 -ffp-contract=off -shared -fPIC`` and nothing else.  The
+translation unit is generated: the layout constants of
+:mod:`repro.engine.kernel.state`
 (:data:`~repro.engine.kernel.state.LAYOUT`) as ``#define`` s, then
 ``cwalk.c``.  The shared object is cached next to the package (or under
 ``$REPRO_KERNEL_CACHE`` / the system temp dir when the package directory
-is read-only) keyed by a hash of that whole generated source, so each
-revision of the walk or of its layout compiles at most once per machine.
+is read-only) keyed by a hash of that whole generated source and the
+compile flags, so each revision of the walk, of its layout or of its
+flags compiles at most once per machine.
 
 Everything degrades gracefully: no compiler, a failed compile or a
 failed ``dlopen`` all yield ``None`` from :func:`load_cwalk` and the
@@ -32,7 +34,13 @@ import numpy as np
 from repro.engine.kernel.state import LAYOUT
 
 _SOURCE = Path(__file__).with_name("cwalk.c")
-_N_ARGS = 51
+_N_ARGS = 52
+
+#: ``-ffp-contract=off``: the walk's float updates (``old * decay + 1.0``)
+#: must round twice, as CPython does.  GCC contracts them into one fused
+#: multiply-add by default in GNU C mode wherever FMA is native, which
+#: aarch64 has as baseline.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _loaded = False
 _caller: Optional[Callable] = None
@@ -78,12 +86,23 @@ def _source() -> bytes:
     return (defines + '#line 1 "cwalk.c"\n').encode() + _SOURCE.read_bytes()
 
 
+def _command(cc: str, out: Path, src: Path) -> list:
+    """The compile command building ``src`` into the shared object ``out``."""
+    return [cc, *_CFLAGS, "-o", str(out), str(src)]
+
+
+def _digest(source: bytes) -> str:
+    """The cache key of a build: its generated source and compile flags."""
+    return hashlib.sha256(
+        "\0".join(_CFLAGS).encode() + b"\0" + source).hexdigest()[:16]
+
+
 def _build() -> Optional[ctypes.CDLL]:
     try:
         source = _source()
     except OSError:
         return None
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    digest = _digest(source)
     try:
         cache = _cache_dir()
     except OSError:
@@ -95,10 +114,10 @@ def _build() -> Optional[ctypes.CDLL]:
             return None
         tmp = so_path.with_name(f".{so_path.name}.{os.getpid()}.tmp")
         src = tmp.with_suffix(".c")
-        cmd = [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(src)]
         try:
             src.write_bytes(source)
-            proc = subprocess.run(cmd, capture_output=True, timeout=120)
+            proc = subprocess.run(_command(cc, tmp, src), capture_output=True,
+                                  timeout=120)
             if proc.returncode != 0:
                 return None
             os.replace(tmp, so_path)   # atomic: concurrent builds race safely

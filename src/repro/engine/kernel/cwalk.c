@@ -7,10 +7,12 @@
  * reference: a hit touches no shared state, and a page operation's L1
  * flush needs no repair, since the next probe of a flushed line misses.
  *
- * Fired static R-NUMA relocations and fired static or hysteresis MigRep
- * replications and migrations run here too: each page operation is a
- * flush, a transfer and a remap on the same arrays (see the page
- * operations below), so the walk keeps walking.
+ * Every stock decision policy is evaluated here too: the stateless ones
+ * as integer thresholds state.py lowers them to, the hysteresis ones by
+ * transcription over their dense score columns.  The page operations
+ * they fire run here as well: each is a flush, a transfer and a remap on
+ * the same arrays (see the page operations below), so the walk keeps
+ * walking.
  *
  * The walk returns RC_DONE when every stream is exhausted, or bails with
  * an RC_BAIL_* code, filling the `out` record, whenever an access needs
@@ -18,7 +20,8 @@
  * placement policy, a write to a replicated page (collapse), a fired
  * relocation on a full page cache (it needs an eviction), a fired
  * migration of a replicated page (vm.migrate raises), an S-COMA
- * first-touch allocation, or an adaptive-policy evaluation point.  All
+ * first-touch allocation, or the evaluation of a policy state.py does not
+ * know (a user subclass or registration).  All
  * bookkeeping lives in the caller-owned arrays, so the caller services
  * the bail with ordinary protocol calls and re-enters; the walk resumes
  * at the interleave cursor mut[MUT_K], which has already moved past the
@@ -144,6 +147,16 @@
         ctr_since[page] = total; \
     } \
 } while (0)
+
+/* a page's MigRep misses over all nodes (CostModelMigRepPolicy's total) */
+static int64_t page_misses(const int64_t* ctr_read, const int64_t* ctr_write,
+                           int64_t cbase, int64_t N)
+{
+    int64_t total = 0;
+    for (int64_t nx = 0; nx < N; nx++)
+        total += ctr_read[cbase + nx] + ctr_write[cbase + nx];
+    return total;
+}
 
 /* inlined base note_l1_eviction for an evicted L1 victim `old`
  * (page-cache-resident victims are still locally backed: no departure) */
@@ -414,7 +427,7 @@ int64_t repro_kernel_walk(
     int64_t** bc_blocks, int64_t** bc_versions, uint8_t** bc_dirty,
     int64_t** cb, int64_t** cv, uint8_t** cd,
     int64_t** blocks, uint8_t** writes,
-    int64_t** rf_counts, int64_t* pg_totals,
+    int64_t** rf_counts, int64_t* pg_totals, double** rn_scores,
     uint8_t** pc_res, int64_t** pc_version, uint8_t** pc_dirty,
     int64_t** pc_stamp, int64_t** pc_clock, int64_t** pc_nvalid,
     int64_t** pc_ndirty, int64_t** pc_fills, int64_t** pc_count,
@@ -445,7 +458,9 @@ int64_t repro_kernel_walk(
     const int64_t inv_i = con[CON_MSG_INV];
     const int64_t ack_i = con[CON_MSG_ACK];
     const int64_t has_migrep = con[CON_HAS_MIGREP];
-    const int64_t mr_threshold = con[CON_MR_THRESHOLD];
+    const int64_t mr_rep_threshold = con[CON_MR_REP_THRESHOLD];
+    const int64_t mr_mig_threshold = con[CON_MR_MIG_THRESHOLD];
+    const int64_t mr_min_samples = con[CON_MR_MIN_SAMPLES];
     const int64_t mr_migration = con[CON_MR_MIG];
     const int64_t mr_replication = con[CON_MR_REP];
     const int64_t mr_reset = con[CON_MR_RESET];
@@ -465,6 +480,7 @@ int64_t repro_kernel_walk(
     const int64_t rn_static = con[CON_RN_STATIC];
     const int64_t rn_threshold = con[CON_RN_THRESHOLD];
     const int64_t rn_delay = con[CON_RN_DELAY];
+    const int64_t rn_hyst = con[CON_RN_HYST];
     const int64_t has_pagecache = con[CON_HAS_PAGECACHE];
     const int64_t scoma_alloc = con[CON_SCOMA_ALLOC];
     const int64_t hybrid = con[CON_HYBRID];
@@ -473,6 +489,8 @@ int64_t repro_kernel_walk(
     const int64_t mr_hyst = con[CON_MR_HYST];
     const double hy_threshold = fcon[FCON_HY_THRESHOLD];
     const double hy_decay = fcon[FCON_HY_DECAY];
+    const double rn_hy_threshold = fcon[FCON_RN_HY_THRESHOLD];
+    const double rn_hy_decay = fcon[FCON_RN_HY_DECAY];
     const PageOps ops = {
         con, mut, pp, nn, msg_delta, dir_sharers, dir_owner,
         vm_home, vm_migrations, vm_replica_mask, vm_replicated,
@@ -921,10 +939,22 @@ int64_t repro_kernel_walk(
                     int64_t rfc = rfn[page] + 1;
                     rfn[page] = rfc;
                     nn[NN_RF_TOTAL * N + node] += 1;
+                    const int64_t gated = rn_delay != 0
+                                          && pg_totals[page] < rn_delay;
                     if (rn_static) {
-                        if ((rn_delay == 0 || pg_totals[page] >= rn_delay)
-                                && rfc > rn_threshold)
+                        if (!gated && rfc > rn_threshold)
                             reloc = 1;
+                    } else if (rn_hyst) {
+                        /* inlined HysteresisRelocationPolicy.should_relocate
+                         * on the node's dense score column: a fired score
+                         * is zeroed, which reads as a never-scored page */
+                        double score = rn_scores[node][page] * rn_hy_decay
+                                       + 1.0;
+                        if (!gated && score > rn_hy_threshold) {
+                            score = 0.0;
+                            reloc = 1;
+                        }
+                        rn_scores[node][page] = score;
                     } else {
                         eval_mask = 1;
                     }
@@ -935,14 +965,20 @@ int64_t repro_kernel_walk(
                 CTR_BUMP();
                 if (!reloc) {
                     if (mr_static && !eval_mask) {
-                        if (((vm_replica_mask[page] >> node) & 1) == 0) {
-                            int64_t cbase = page * N;
+                        /* a stateless rule lowered to integer thresholds,
+                         * behind the cost model's evidence gate */
+                        int64_t cbase = page * N;
+                        if (((vm_replica_mask[page] >> node) & 1) == 0
+                                && (mr_min_samples == 0
+                                    || page_misses(ctr_read, ctr_write, cbase,
+                                                   N) >= mr_min_samples)) {
                             if (mr_replication) {
                                 int64_t remote_writes = -ctr_write[cbase + home];
                                 for (int64_t nx = 0; nx < N; nx++)
                                     remote_writes += ctr_write[cbase + nx];
                                 if (remote_writes == 0
-                                        && ctr_read[cbase + node] > mr_threshold)
+                                        && ctr_read[cbase + node]
+                                           > mr_rep_threshold)
                                     replicate_it = 1;
                             }
                             if (!replicate_it && mr_migration) {
@@ -950,7 +986,7 @@ int64_t repro_kernel_walk(
                                                 + ctr_write[cbase + node];
                                 int64_t home_m = ctr_read[cbase + home]
                                                  + ctr_write[cbase + home];
-                                if (req_m - home_m > mr_threshold)
+                                if (req_m - home_m > mr_mig_threshold)
                                     migrate_it = 1;
                             }
                         }
@@ -997,10 +1033,10 @@ int64_t repro_kernel_walk(
                         }
                     } else if (hybrid
                                || ((vm_replica_mask[page] >> node) & 1) == 0) {
-                        /* adaptive MigRep policy — or a static one in
-                         * the hybrid with an adaptive R-NUMA evaluation
-                         * pending (a relocation would change its
-                         * answer): defer to the Python evaluation */
+                        /* a MigRep policy the walk does not know — or a
+                         * known one in the hybrid with such an R-NUMA
+                         * evaluation pending (a relocation would change
+                         * its answer): defer to the Python evaluation */
                         eval_mask |= 2;
                     }
                 }
@@ -1027,7 +1063,7 @@ int64_t repro_kernel_walk(
                 pageop = migrate(&ops, page, node, start);
             }
             if (eval_mask) {
-                /* adaptive evaluation point: the fill is accounted;
+                /* unknown-policy evaluation point: the fill is accounted;
                  * Python evaluates the decisions named by the mask
                  * (1 = R-NUMA, 2 = MigRep) */
                 out[OUT_SERVICE] = service;

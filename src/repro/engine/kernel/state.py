@@ -48,13 +48,28 @@ This module is the single source of the kernel's memory layout: the
 index constants (``CON_*``, ``FCON_*``, ``PP_*``, ``NN_*``, ``MUT_*``,
 ``OUT_*``) and return codes (``RC_*``) collected in :data:`LAYOUT`, which
 :mod:`repro.engine.kernel.cbuild` emits as ``#define`` s ahead of
-``cwalk.c`` at build time.
+``cwalk.c`` at build time.  It also decides which decision lane the walk
+runs: :func:`lower_policy` turns each stock policy, by exact type, into
+the integer thresholds or hysteresis parameters the walk tests, and the
+hysteresis policies' dense score columns are views like any other store.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.core.decisions import (
+    CompetitiveMigRepPolicy,
+    CompetitiveRelocationPolicy,
+    CostModelMigRepPolicy,
+    CostModelRelocationPolicy,
+    HysteresisMigRepPolicy,
+    HysteresisRelocationPolicy,
+    MigRepPolicy,
+    RNUMAPolicy,
+)
 from repro.interconnect.message import MessageType
 from repro.kernel.faults import FaultKind
 from repro.mem.page_table import MODE_CODES, PageMode
@@ -63,29 +78,33 @@ from repro.mem.page_table import MODE_CODES, PageMode
 # layout constants (emitted as cwalk.c's #defines, see LAYOUT)
 # ---------------------------------------------------------------------------
 
-#: CON — immutable run/phase constants (int64).
+#: CON — immutable run/phase constants (int64).  The threshold lanes
+#: test ``count > CON_MR_REP_THRESHOLD`` / ``CON_MR_MIG_THRESHOLD`` /
+#: ``CON_RN_THRESHOLD`` (see :func:`lower_policy`).
 (CON_NUM_PROCS, CON_NUM_NODES, CON_BPP, CON_COMPUTE, CON_L1_HIT,
  CON_MAX_LEN, CON_BUS_OCC, CON_BUS_ENABLED, CON_LOCAL_MISS,
  CON_REMOTE_MISS, CON_INVAL_COST, CON_NET_ENABLED, CON_NET_LATENCY,
  CON_NIC_OCC, CON_SZ_READ_PAIR, CON_SZ_WRITE_PAIR, CON_SZ_WB,
  CON_SZ_INV_PAIR, CON_MSG_READ, CON_MSG_WRITE, CON_MSG_DATA, CON_MSG_WB,
- CON_MSG_INV, CON_MSG_ACK, CON_HAS_MIGREP, CON_MR_THRESHOLD, CON_MR_MIG,
+ CON_MSG_INV, CON_MSG_ACK, CON_HAS_MIGREP, CON_MR_REP_THRESHOLD,
+ CON_MR_MIG_THRESHOLD, CON_MR_MIN_SAMPLES, CON_MR_MIG,
  CON_MR_REP, CON_MR_RESET, CON_DIR_CAP, CON_VM_LEN,
  CON_BC_CAP, CON_NUM_LINES, CON_MODE_REPLICA, CON_MODE_LOCAL_HOME,
  CON_DEP_EVICTED, CON_DEP_INVALIDATED, CON_SOFT_TRAP, CON_MSG_MAP_REQ,
  CON_MSG_MAP_REPLY, CON_SZ_MAP_PAIR, CON_MODE_CCNUMA_REMOTE,
  CON_FIRST_TOUCH, CON_HAS_RNUMA, CON_RN_STATIC, CON_RN_THRESHOLD,
- CON_RN_DELAY, CON_HAS_PAGECACHE, CON_SCOMA_ALLOC, CON_HYBRID,
- CON_MR_STATIC, CON_BC_PENALTY, CON_MR_HYST, CON_MODE_SCOMA,
+ CON_RN_DELAY, CON_RN_HYST, CON_HAS_PAGECACHE, CON_SCOMA_ALLOC,
+ CON_HYBRID, CON_MR_STATIC, CON_BC_PENALTY, CON_MR_HYST, CON_MODE_SCOMA,
  CON_TLB_SHOOTDOWN, CON_COPY_PAGE, CON_MSG_FLUSH_REQ, CON_MSG_FLUSH_DONE,
  CON_MSG_PAGE_DATA, CON_SZ_FLUSH_REQ, CON_SZ_FLUSH_DONE,
- CON_SZ_PAGE_DATA) = range(62)
-CON_SIZE = 62
+ CON_SZ_PAGE_DATA) = range(65)
+CON_SIZE = 65
 
 #: FCON — float64 run constants (the int64 ``con`` array cannot carry
-#: the hysteresis policy's fractional threshold and decay factor).
-(FCON_HY_THRESHOLD, FCON_HY_DECAY) = range(2)
-FCON_SIZE = 2
+#: the hysteresis policies' fractional thresholds and decay factors).
+(FCON_HY_THRESHOLD, FCON_HY_DECAY, FCON_RN_HY_THRESHOLD,
+ FCON_RN_HY_DECAY) = range(4)
+FCON_SIZE = 4
 
 #: PP — per-processor bookkeeping rows of the flat ``pp`` array
 #: (``pp[row * num_procs + p]``); ``PP_LEN`` is the stream length.
@@ -126,7 +145,7 @@ RC_BAIL_FAULT = 1      #: mapping fault — execute via ``handle_miss``
 RC_BAIL_COLLAPSE = 2   #: write to a replicated page — via ``_service_remote_page``
 RC_BAIL_MIGRATE = 3    #: fired migration of a replicated page (``vm.migrate`` raises)
 RC_BAIL_RELOCATE = 4   #: fired relocation on a full page cache (needs an eviction)
-RC_BAIL_DECIDE = 5     #: adaptive policy evaluation point (``OUT_EVAL`` mask)
+RC_BAIL_DECIDE = 5     #: evaluation of a policy the walk does not know (``OUT_EVAL`` mask)
 RC_BAIL_PAGECACHE = 6  #: S-COMA first-touch allocation — via ``_service_remote_page``
 
 #: Every layout constant by name: the C walk's ``#define`` s.
@@ -148,6 +167,67 @@ def _u8(buf) -> np.ndarray:
 def _f64(buf) -> np.ndarray:
     """Writable float64 view of a buffer-backed store (zero-copy)."""
     return np.frombuffer(buf, dtype=np.float64)
+
+
+#: the int64 maximum: a threshold lowered past it never fires
+INT64_MAX = 2 ** 63 - 1
+
+
+def _limit(value, per: int = 1) -> int:
+    """The ``L`` with ``x * per > value`` iff ``x > L`` for every integer
+    ``x`` (``per`` a positive integer): ``floor(value / per)``, taken
+    exactly as ``floor(value) // per`` (a float division could round up
+    to the next integer) and clamped to :data:`INT64_MAX`.  A non-finite
+    float compares false with every count, so it lowers to the clamp."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return INT64_MAX
+    return min(math.floor(value) // per, INT64_MAX)
+
+
+def lower_policy(policy):
+    """The walk's lane for a stock decision policy, keyed by exact type.
+
+    A subclass may override its rule, so only the stock classes
+    themselves lower; ``None`` means the walk does not know the policy
+    and bails ``decide`` at each of its evaluations.  The stateless
+    rules lower to ``("threshold", limits)``, integer limits the walk
+    tests with a strict ``>``.  A MigRep rule gives ``(R, M, S)``:
+    replicate when the page has no remote write misses and
+    ``reads[requester] > R``, migrate when ``requester - home > M``
+    (total misses), either only when the page's misses over all nodes
+    number at least ``S``.  An R-NUMA rule gives ``(A,)``: relocate when
+    ``refetches > A``, behind the policy's ``relocation_delay`` gate.
+    The hysteresis policies lower to ``("hysteresis", (threshold,
+    decay))``: the walk transcribes their ``evaluate`` /
+    ``should_relocate`` over their dense score columns.
+    """
+    ptype = type(policy)
+    if ptype is MigRepPolicy:
+        limit = _limit(policy.threshold)
+        return "threshold", (limit, limit, 0)
+    if ptype is CompetitiveMigRepPolicy:
+        # its tests are >=
+        return "threshold", (_limit(policy.replication_threshold - 1),
+                             _limit(policy.migration_threshold - 1), 0)
+    if ptype is CostModelMigRepPolicy:
+        # ``count * benefit > margin * cost``, the product as Python forms it
+        benefit = policy.miss_benefit
+        return "threshold", (
+            _limit(policy.margin * policy.replication_cost, benefit),
+            _limit(policy.margin * policy.migration_cost, benefit),
+            min(policy.min_samples, INT64_MAX))
+    if ptype is RNUMAPolicy:
+        return "threshold", (_limit(policy.threshold),)
+    if ptype is CompetitiveRelocationPolicy:
+        return "threshold", (_limit(policy.threshold - 1),)
+    if ptype is CostModelRelocationPolicy:
+        return "threshold", (max(
+            _limit(policy.min_samples - 1),
+            _limit(policy.margin * policy.relocation_cost,
+                   policy.miss_benefit)),)
+    if ptype is HysteresisMigRepPolicy or ptype is HysteresisRelocationPolicy:
+        return "hysteresis", (policy.threshold, policy.decay)
+    return None
 
 
 def schedule_arrays(phase):
@@ -257,7 +337,6 @@ class KernelState:
         # exact-type protocol dispatch (kernel_eligibility admitted the
         # type, so this enumeration is exhaustive); the hybrid keeps its
         # MigRep half under different attribute names than plain MigRep
-        from repro.core.decisions import HysteresisMigRepPolicy, MigRepPolicy
         from repro.core.dram_cache import DRAMBlockCacheProtocol
         from repro.core.migrep import MigRepProtocol
         from repro.core.rnuma import RNUMAProtocol
@@ -278,26 +357,26 @@ class KernelState:
             mr_policy = protocol.migrep_policy
             self.migration_engine = protocol.migration_engine
             con[CON_HYBRID] = 1
-        self.fcon = np.zeros(FCON_SIZE, dtype=np.float64)
-        self.hy_policy = None
+        fcon = self.fcon = np.zeros(FCON_SIZE, dtype=np.float64)
+        # a policy the walk knows is evaluated in it (see lower_policy);
+        # any other one leaves its lane flag at 0 and bails ``decide``
+        self.hy_policy = self.rn_hy_policy = None
         if counters is not None:
             con[CON_HAS_MIGREP] = 1
             con[CON_MR_RESET] = counters.reset_interval
-            if type(mr_policy) is MigRepPolicy:
-                con[CON_MR_STATIC] = 1
-                con[CON_MR_THRESHOLD] = mr_policy.threshold
+            lowered = lower_policy(mr_policy)
+            if lowered is not None:
+                lane, params = lowered
                 con[CON_MR_MIG] = int(mr_policy.enable_migration)
                 con[CON_MR_REP] = int(mr_policy.enable_replication)
-            elif type(mr_policy) is HysteresisMigRepPolicy:
-                # the hysteresis evaluation is pure arithmetic over the
-                # marshalled counter rows plus the policy's dense score
-                # table, so it runs inline; only fired decisions bail
-                con[CON_MR_HYST] = 1
-                con[CON_MR_MIG] = int(mr_policy.enable_migration)
-                con[CON_MR_REP] = int(mr_policy.enable_replication)
-                self.fcon[FCON_HY_THRESHOLD] = mr_policy.threshold
-                self.fcon[FCON_HY_DECAY] = mr_policy.decay
-                self.hy_policy = mr_policy
+                if lane == "threshold":
+                    con[CON_MR_STATIC] = 1
+                    (con[CON_MR_REP_THRESHOLD], con[CON_MR_MIG_THRESHOLD],
+                     con[CON_MR_MIN_SAMPLES]) = params
+                else:
+                    con[CON_MR_HYST] = 1
+                    fcon[FCON_HY_THRESHOLD], fcon[FCON_HY_DECAY] = params
+                    self.hy_policy = mr_policy
         self.rnuma = protocol if isinstance(protocol, RNUMAProtocol) else None
         # per-node page-cache capacity, -1 when unbounded: the walk
         # relocates only into a cache with a free frame
@@ -313,9 +392,19 @@ class KernelState:
                 con[CON_SCOMA_ALLOC] = 1
             else:
                 con[CON_HAS_RNUMA] = 1
-                con[CON_RN_STATIC] = int(protocol._rn_static)
-                con[CON_RN_THRESHOLD] = protocol._rn_threshold
-                con[CON_RN_DELAY] = protocol._rn_delay
+                rn_policy = protocol.policy
+                lowered = lower_policy(rn_policy)
+                if lowered is not None:
+                    lane, params = lowered
+                    con[CON_RN_DELAY] = rn_policy.relocation_delay
+                    if lane == "threshold":
+                        con[CON_RN_STATIC] = 1
+                        (con[CON_RN_THRESHOLD],) = params
+                    else:
+                        con[CON_RN_HYST] = 1
+                        (fcon[FCON_RN_HY_THRESHOLD],
+                         fcon[FCON_RN_HY_DECAY]) = params
+                        self.rn_hy_policy = rn_policy
         elif ptype is DRAMBlockCacheProtocol:
             con[CON_BC_PENALTY] = protocol.hit_penalty
         self.con = con
@@ -358,6 +447,8 @@ class KernelState:
             self.counters.reserve(max_page + 1)
         if self.hy_policy is not None:
             self.hy_policy.reserve(max_page + 1, num_nodes=self.num_nodes)
+        if self.rn_hy_policy is not None:
+            self.rn_hy_policy.reserve(max_page + 1, num_nodes=self.num_nodes)
         if self.rnuma is not None:
             self.rnuma._reserve_totals(max_page + 1)
             for rc in self.rnuma.refetch_counters:
@@ -417,6 +508,12 @@ class KernelState:
             # valid (never dereferenced) placeholders gated on CON_MR_HYST
             self.hy_scores = np.empty(0, dtype=np.float64)
             self.hy_seen = np.empty(0, dtype=np.int64)
+        N = self.num_nodes
+        if self.rn_hy_policy is not None:
+            self.rn_scores = [_f64(col) for col in self.rn_hy_policy._scores]
+        else:
+            # placeholders gated on CON_RN_HYST
+            self.rn_scores = [np.empty(0, dtype=np.float64)] * N
         if self.rnuma is not None:
             proto = self.rnuma
             pcs = machine.page_caches
@@ -437,7 +534,6 @@ class KernelState:
             # cache and R-NUMA accesses are gated on the CON flags
             e64 = np.empty(0, dtype=np.int64)
             e8 = np.empty(0, dtype=np.uint8)
-            N = self.num_nodes
             self.rf_counts = [e64] * N
             self.pg_totals = e64
             self.pc_res = [e8] * N
@@ -477,7 +573,8 @@ class KernelState:
             self.pt_writable, self.pt_remaps,
             self.bc_blocks, self.bc_versions, self.bc_dirty,
             self.cb, self.cv, self.cd, *columns,
-            self.rf_counts, self.pg_totals, self.pc_res, self.pc_version,
+            self.rf_counts, self.pg_totals, self.rn_scores,
+            self.pc_res, self.pc_version,
             self.pc_dirty, self.pc_stamp, self.pc_clock, self.pc_nvalid,
             self.pc_ndirty, self.pc_fills, self.pc_count, self.pc_cap,
             self.alloc_cost, self.gather_cost))
@@ -496,7 +593,7 @@ class KernelState:
         self.ctr_read = self.ctr_write = self.ctr_since = None
         self.ctr_live_r = self.ctr_live_w = None
         self.hy_scores = self.hy_seen = None
-        self.rf_counts = self.pg_totals = None
+        self.rf_counts = self.pg_totals = self.rn_scores = None
         self.pc_res = self.pc_version = self.pc_dirty = None
         self.pc_stamp = self.pc_clock = self.pc_nvalid = None
         self.pc_ndirty = self.pc_fills = self.pc_count = None

@@ -725,7 +725,7 @@ class TestKernelEngine:
 
     def test_adaptive_policy_runs_on_kernel(self, small_config,
                                             small_machine, monkeypatch):
-        """Adaptive policies ride the compiled walk via decide bails."""
+        """Adaptive policies are evaluated inside the compiled walk."""
         require_c_backend()
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
         trace = self._trace(small_machine)

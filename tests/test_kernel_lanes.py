@@ -1,18 +1,22 @@
-"""Kernel lane equivalence: R-NUMA, page-cache probe and decision bails.
+"""Kernel lane equivalence: R-NUMA, page-cache probe and decision lanes.
 
 The full-family kernel runs every stock system compiled, ``perfect``'s
-infinite block cache included.  These tests pin each lane of the C walk
+infinite block cache included, and evaluates every stock decision
+policy inside the walk.  These tests pin each lane of the C walk
 against the batched engine bit-for-bit, under configurations harsh
 enough to actually fire the lane: tiny block caches so capacity
 refetches drive relocation storms, tiny page caches so S-COMA replaces
-pages constantly, low thresholds so both static and adaptive decisions
-trigger, and page operations flushing an infinite block cache.
-Hypothesis then hunts for orderings the hand-written traces miss, and
-the store-growth shapes pin phases that must grow a store between
-walks.
+pages constantly, low thresholds so static, competitive, hysteresis and
+cost-model decisions all trigger, and page operations flushing an
+infinite block cache.  A policy the walk does not know (a user
+subclass) still bails ``decide`` and matches ``legacy``.  Hypothesis
+then hunts for orderings the hand-written traces miss, and the
+store-growth shapes pin phases that must grow a store between walks.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,7 +29,15 @@ from repro.config import (
     SimulationConfig,
     ThresholdConfig,
 )
+from repro.core.decisions import (
+    POLICIES,
+    CompetitiveMigRepPolicy,
+    HysteresisRelocationPolicy,
+    PolicySpec,
+    build_policy,
+)
 from repro.core.factory import SYSTEM_NAMES, build_system
+from repro.registry import register_policy
 from repro.workloads.importers import import_trace_file
 from repro.workloads.spec import SharingPattern
 from repro.workloads.trace import PhaseTrace, Trace
@@ -48,6 +60,10 @@ POLICY_VARIANTS = {
     "hybrid-hysteresis": ("rnuma-migrep", {"migrep_policy": "hysteresis",
                                            "rnuma_policy": "hysteresis"}),
     "hybrid-mixed": ("rnuma-migrep", {"rnuma_policy": "competitive"}),
+    "migrep-cost-model": ("migrep", {"migrep_policy": "cost-model"}),
+    "rnuma-cost-model": ("rnuma", {"rnuma_policy": "cost-model"}),
+    "hybrid-cost-model": ("rnuma-migrep", {"migrep_policy": "cost-model",
+                                           "rnuma_policy": "cost-model"}),
 }
 
 
@@ -122,36 +138,44 @@ class TestFullFamilyEquivalence:
         _assert_kernel_matches_batched(cfg, _spec_for(system),
                                        _harsh_trace(cfg), monkeypatch)
 
-    #: hysteresis MigRep evaluations are inlined in the walk, and so are
-    #: the page operations they fire; every other adaptive policy bails
-    #: to the Python evaluation point on each remote miss
+    #: every stock policy is evaluated in the walk, and so are the page
+    #: operations it fires, so none bails ``decide``; the R-NUMA variants
+    #: bail ``relocate`` for each relocation that must evict from the
+    #: 4-frame page cache, and writes to replicas bail ``collapse``
     EXPECT_BAILS = {
-        "migrep-competitive": ("decide",),
-        "migrep-hysteresis": (),
-        "rnuma-hysteresis": ("decide",),
-        "rnuma-competitive": ("decide",),
-        "hybrid-hysteresis": ("decide",),
-        "hybrid-mixed": ("decide",),
+        "migrep-competitive": (),
+        "migrep-hysteresis": ("collapse",),
+        "migrep-cost-model": (),
+        "rnuma-hysteresis": ("relocate",),
+        "rnuma-competitive": ("relocate",),
+        "rnuma-cost-model": ("relocate",),
+        "hybrid-hysteresis": ("collapse",),
+        "hybrid-mixed": ("collapse",),
+        "hybrid-cost-model": ("relocate",),
     }
 
     #: the page operations each variant must perform, read from the stats
     EXPECT_OPS = {
         "migrep-competitive": ("migrations",),
         "migrep-hysteresis": ("replications", "migrations"),
+        "migrep-cost-model": ("migrations",),
         "rnuma-hysteresis": ("relocations",),
         "rnuma-competitive": ("relocations",),
+        "rnuma-cost-model": ("relocations",),
         "hybrid-hysteresis": ("relocations", "migrations"),
         "hybrid-mixed": ("replications", "migrations"),
+        "hybrid-cost-model": ("relocations", "migrations"),
     }
 
     @pytest.mark.parametrize("variant", sorted(POLICY_VARIANTS))
     def test_adaptive_policy_bit_identical(self, variant, monkeypatch):
-        """Non-static policies ride the walk, bailing only as needed."""
+        """Every stock policy is evaluated in the walk: none bails."""
         cfg = _harsh_config()
         prof = _assert_kernel_matches_batched(
             cfg, _spec_for(variant), _harsh_trace(cfg), monkeypatch,
             expect_bails=self.EXPECT_BAILS[variant],
             expect_ops=self.EXPECT_OPS[variant]).engine_profile
+        assert prof["bail_kinds"]["decide"] == 0
         if variant == "migrep-hysteresis":
             # the pure-hysteresis MigRep never leaves the compiled loop,
             # neither to evaluate nor to run what it decides
@@ -223,7 +247,8 @@ class TestRandomLaneTraces:
 
     SYSTEMS = ["rnuma", "rnuma-migrep", "scoma", "ccnuma-dram",
                "rnuma-hysteresis", "hybrid-mixed", "perfect",
-               "migrep-infbc"]
+               "migrep-infbc", "migrep-cost-model", "rnuma-cost-model",
+               "hybrid-cost-model"]
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -264,14 +289,15 @@ def streamed_rpt(tmp_path_factory):
 
 def _assert_engines_agree(system, trace, monkeypatch):
     """legacy, batched and the C walk agree on ``trace`` under the harsh
-    configuration, and the kernel run really ran compiled.  Returns the
-    kernel run's stats."""
+    configuration, and the kernel run really ran compiled.  ``system`` is
+    a name or a system spec.  Returns the kernel run's stats."""
     require_c_backend()
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
     cfg = _harsh_config()
+    spec = _spec_for(system) if isinstance(system, str) else system
     fps = {}
     for engine in ("legacy", "batched", "kernel"):
-        machine = Machine(cfg, _spec_for(system))
+        machine = Machine(cfg, spec)
         stats = machine.run(trace, engine=engine)
         assert_invariants(machine, stats)
         fps[engine] = fingerprint(machine, stats)
@@ -418,3 +444,85 @@ class TestPageOpsInWalk:
         stats = _assert_engines_agree("rep", trace, monkeypatch)
         assert _op_totals(stats)["replications"] > 0
         assert stats.engine_profile["bails"] == 0
+
+    @pytest.mark.parametrize("variant", ["migrep-competitive",
+                                         "migrep-cost-model"])
+    def test_adaptive_replications_run_in_the_walk(self, variant,
+                                                   monkeypatch):
+        """The same read-only shape drives the competitive and cost-model
+        replication tests: their replicas, too, are installed by the walk
+        without a single bail."""
+        cfg = _harsh_config()
+        spec = make_simple_spec(pattern=SharingPattern.READ_SHARED,
+                                pages=16, accesses=800, write_fraction=0.0)
+        trace = make_trace(spec, cfg.machine, seed=3)
+        stats = _assert_engines_agree(variant, trace, monkeypatch)
+        assert _op_totals(stats)["replications"] > 0
+        assert stats.engine_profile["bails"] == 0
+
+
+class _UserCompetitiveMigRep(CompetitiveMigRepPolicy):
+    """A user subclass whose rule is the stock one: the walk cannot tell,
+    so it evaluates it in Python."""
+
+    def evaluate(self, counters, page, requester, home, *,
+                 is_replica_request=False):
+        return super().evaluate(counters, page, requester, home,
+                                is_replica_request=is_replica_request)
+
+
+class _UserHysteresisRelocation(HysteresisRelocationPolicy):
+    """The rnuma-role twin of :class:`_UserCompetitiveMigRep`."""
+
+    def should_relocate(self, counters, page, *, page_total_misses=0,
+                        node=0):
+        return super().should_relocate(
+            counters, page, page_total_misses=page_total_misses, node=node)
+
+
+def _user_factory(cls, family, role):
+    """Build ``family``'s stock ``role`` policy, then recast it as ``cls``."""
+    def factory(config, **kwargs):
+        stock = build_policy(family, role, config, **kwargs)
+        return cls(**{f.name: getattr(stock, f.name)
+                      for f in dataclasses.fields(stock)
+                      if not f.name.startswith("_")})
+    return factory
+
+
+class TestUnknownPolicies:
+    """A registered policy the walk does not know still runs on the
+    kernel: each of its evaluations bails ``decide`` to Python."""
+
+    @pytest.fixture
+    def user_policy(self):
+        register_policy(PolicySpec(
+            "user-stock-copy", summary="stock rules in user subclasses",
+            migrep_factory=_user_factory(_UserCompetitiveMigRep,
+                                         "competitive", "migrep"),
+            rnuma_factory=_user_factory(_UserHysteresisRelocation,
+                                        "hysteresis", "rnuma")))
+        try:
+            yield "user-stock-copy"
+        finally:
+            POLICIES.unregister("user-stock-copy")
+
+    @pytest.mark.parametrize("base, role, stock", [
+        ("migrep", "migrep_policy", "migrep-competitive"),
+        ("rnuma", "rnuma_policy", "rnuma-hysteresis"),
+        # the hybrid defers its MigRep evaluation behind the unknown
+        # R-NUMA one, since a relocation would change its answer
+        ("rnuma-migrep", "rnuma_policy", None),
+    ])
+    def test_unknown_policy_bails_decide(self, base, role, stock,
+                                         user_policy, monkeypatch):
+        cfg = _harsh_config()
+        spec = build_system(base).derive(f"{base}-user", **{role: user_policy})
+        stats = _assert_engines_agree(spec, _harsh_trace(cfg), monkeypatch)
+        assert stats.engine_profile["bail_kinds"]["decide"] > 0
+        if stock is not None:
+            # the copied rule decides exactly as the stock one in the walk
+            machine = Machine(cfg, _spec_for(stock))
+            assert _op_totals(machine.run(_harsh_trace(cfg),
+                                          engine="kernel")) \
+                == _op_totals(stats)

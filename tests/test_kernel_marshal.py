@@ -9,14 +9,32 @@ raises ``BufferError``) while the views exist.
 
 from __future__ import annotations
 
+import dataclasses
+from array import array
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import base_config
 from repro.cluster.machine import Machine
+from repro.core.counters import MigRepCounters, RefetchCounters
+from repro.core.decisions import (
+    CompetitiveMigRepPolicy,
+    CompetitiveRelocationPolicy,
+    CostModelMigRepPolicy,
+    CostModelRelocationPolicy,
+    HysteresisRelocationPolicy,
+    MigRepDecision,
+    MigRepPolicy,
+    RNUMAPolicy,
+    _page_costs,
+)
 from repro.core.factory import build_system
 from repro.engine.kernel import cbuild
 from repro.engine.kernel.state import (
-    CON_BPP, LAYOUT, NN_NIC_FREE, KernelState, schedule_arrays)
+    CON_BPP, INT64_MAX, LAYOUT, NN_NIC_FREE, KernelState, lower_policy,
+    schedule_arrays)
 from repro.mem.page_table import MODE_CODES, PageMode
 from repro.workloads.trace import PhaseTrace, Trace
 from repro.workloads.tracefile import open_trace, write_trace_file
@@ -187,3 +205,179 @@ class TestGeneratedLayout:
         for name, value in LAYOUT.items():
             assert f"#define {name} {value}\n" in source
         assert "#define CON_" not in cbuild._SOURCE.read_text()
+
+
+def _migrep_rows(limits):
+    """Counter rows (reads, writes) over four nodes, home 0 and requester
+    1, putting each count a lowered MigRep rule tests at ``T - 1`` ..
+    ``T + 2`` of its limit ``T``: the requester's reads, the migration
+    advantage (negative ones too) and the page total the evidence gate
+    reads.  Node 2's one write rules replication out of the migration
+    rows; node 3's reads pad a page total without moving either test."""
+    rep, mig, samples = limits
+    rows = []
+    for reads in range(rep - 1, rep + 3):
+        rows.append(([0, reads, 0, 0], [0, 0, 0, 0]))
+    for adv in (*range(mig - 1, mig + 3), -1, -7, -mig - 2):
+        home = max(0, -adv)
+        rows.append(([home, home + adv, 0, 0], [0, 0, 1, 0]))
+    for total in range(samples - 1, samples + 3):
+        rows.append(([0, rep + 1, 0, total - rep - 1], [0, 0, 0, 0]))
+        rows.append(([0, mig + 1, 0, total - mig - 2], [0, 0, 1, 0]))
+    # every cell a count the int64 counter columns can hold
+    return [(r, w) for r, w in rows if all(0 <= c <= INT64_MAX for c in r + w)]
+
+
+def _lowered_migrep(limits, policy, reads, writes):
+    """The walk's threshold lane over one counter row (home 0, requester 1)."""
+    rep, mig, samples = limits
+    if samples and sum(reads) + sum(writes) < samples:
+        return MigRepDecision.NONE
+    if (policy.enable_replication and sum(writes) - writes[0] == 0
+            and reads[1] > rep):
+        return MigRepDecision.REPLICATE
+    if (policy.enable_migration
+            and reads[1] + writes[1] - reads[0] - writes[0] > mig):
+        return MigRepDecision.MIGRATE
+    return MigRepDecision.NONE
+
+
+def _stock_policies():
+    """Every stateless stock policy over a grid of parameters: the costs
+    of both configurations, fractional payback factors, every evidence
+    gate up to 9, and rules past the int64 maximum."""
+    from test_kernel_lanes import _harsh_config
+    factors = (0.37, 1.0, 1.5, 2.0, 3.3)
+    for cfg in (base_config(), _harsh_config()):
+        benefit, migration, replication, relocation = _page_costs(cfg)
+        for flags in ((True, True), (True, False), (False, True)):
+            mig, rep = flags
+            yield MigRepPolicy(threshold=cfg.thresholds.effective_migrep_threshold,
+                               enable_migration=mig, enable_replication=rep)
+            for beta in (*factors, 1e20):
+                yield CompetitiveMigRepPolicy(
+                    benefit, migration, replication, beta=beta,
+                    enable_migration=mig, enable_replication=rep)
+            for margin in (*factors, 1e300, 1e306):
+                for samples in range(10):
+                    yield CostModelMigRepPolicy(
+                        benefit, migration, replication, margin=margin,
+                        min_samples=samples, enable_migration=mig,
+                        enable_replication=rep)
+        for delay in (0, 3):
+            for threshold in (1, 2, cfg.thresholds.effective_rnuma_threshold,
+                              2 ** 70):
+                yield RNUMAPolicy(threshold=threshold, relocation_delay=delay)
+            for beta in (*factors, 1e20):
+                yield CompetitiveRelocationPolicy(
+                    benefit, relocation, beta=beta, relocation_delay=delay)
+            for margin in (*factors, 1e300, 1e306):
+                for samples in range(10):
+                    yield CostModelRelocationPolicy(
+                        benefit, relocation, margin=margin,
+                        min_samples=samples, relocation_delay=delay)
+    yield MigRepPolicy(threshold=2 ** 70)
+
+
+class TestPolicyLowering:
+    """Each stateless stock policy lowers to integer strict-greater
+    limits that decide exactly as its own ``evaluate`` /
+    ``should_relocate`` does, at and around every limit."""
+
+    def test_lowered_rules_agree_at_their_boundaries(self):
+        clamped = set()
+        checked = 0
+        page = 5
+        for policy in _stock_policies():
+            lane, limits = lower_policy(policy)
+            assert lane == "threshold", policy
+            assert all(-1 <= t <= INT64_MAX for t in limits), (policy, limits)
+            if INT64_MAX in limits:
+                clamped.add(type(policy))
+            if hasattr(policy, "evaluate"):
+                for reads, writes in _migrep_rows(limits):
+                    counters = MigRepCounters(4, reset_interval=1)
+                    counters.reserve(page + 1)
+                    counters._read[page * 4:page * 4 + 4] = array("q", reads)
+                    counters._write[page * 4:page * 4 + 4] = array("q", writes)
+                    counters._live_r[page] = any(reads)
+                    counters._live_w[page] = any(writes)
+                    assert policy.evaluate(counters, page, 1, 0) is \
+                        _lowered_migrep(limits, policy, reads, writes), (
+                            policy, limits, reads, writes)
+                    checked += 1
+                continue
+            (limit,) = limits
+            delay = policy.relocation_delay
+            for count in range(limit - 1, limit + 3):
+                if not 0 <= count <= INT64_MAX:
+                    continue
+                for total in {0, delay - 1, delay, delay + 1}:
+                    counters = RefetchCounters()
+                    counters.reserve(page + 1)
+                    counters._counts[page] = count
+                    fires = (not delay or total >= delay) and count > limit
+                    assert policy.should_relocate(
+                        counters, page, page_total_misses=total) is fires, (
+                            policy, limit, count, total)
+                    checked += 1
+        assert checked > 5_000
+        # a rule past the int64 maximum clamps there, in every family
+        assert clamped == {MigRepPolicy, CompetitiveMigRepPolicy,
+                           CostModelMigRepPolicy, RNUMAPolicy,
+                           CompetitiveRelocationPolicy,
+                           CostModelRelocationPolicy}
+
+    def test_cost_model_limit_follows_the_float_product(self):
+        """``count * benefit > margin * cost`` with the product as Python
+        forms it: 2.8 * 45 is 125.99999999999999, so 63 refetches at
+        benefit 2 already pay (126 > 125.99...), and the limit is 62,
+        not the 63 that the decimal product 126 would give."""
+        policy = CostModelRelocationPolicy(miss_benefit=2, relocation_cost=45,
+                                           margin=2.8, min_samples=0)
+        assert policy.margin * policy.relocation_cost < 126
+        assert lower_policy(policy) == ("threshold", (62,))
+        counters = RefetchCounters()
+        for _ in range(63):
+            counters.record_refetch(0)
+        assert policy.should_relocate(counters, 0)
+        # the evidence gate lifts the limit to min_samples - 1
+        gated = dataclasses.replace(policy, min_samples=80)
+        assert lower_policy(gated) == ("threshold", (79,))
+        # the floor of the quotient is exact where a float division
+        # would round up to the next integer
+        product = float(2 ** 55 + 8)
+        big = CostModelRelocationPolicy(miss_benefit=3, relocation_cost=1,
+                                        margin=product, min_samples=0)
+        limit = 12009599006321325
+        assert product / 3 == limit + 1
+        assert lower_policy(big) == ("threshold", (limit,))
+        assert 3 * limit < product < 3 * (limit + 1)
+
+    def test_hysteresis_and_unknown_policies(self):
+        hyst = HysteresisRelocationPolicy(threshold=2.5, decay=0.9)
+        assert lower_policy(hyst) == ("hysteresis", (2.5, 0.9))
+
+        class UserRule(RNUMAPolicy):
+            pass
+
+        # a subclass may override the rule: only the exact type lowers
+        assert lower_policy(UserRule(threshold=4)) is None
+        assert lower_policy(object()) is None
+
+
+class TestBuildCommand:
+    """The walk is compiled without floating-point contraction, and the
+    compile flags are part of the shared object's cache key."""
+
+    def test_fp_contraction_is_off(self):
+        cmd = cbuild._command("cc", Path("out.so"), Path("walk.c"))
+        assert "-ffp-contract=off" in cmd
+        assert cmd[0] == "cc" and cmd[-1] == "walk.c"
+
+    def test_changed_flags_change_the_cache_name(self, monkeypatch):
+        source = cbuild._source()
+        digest = cbuild._digest(source)
+        monkeypatch.setattr(cbuild, "_CFLAGS", (*cbuild._CFLAGS, "-DX"))
+        assert cbuild._digest(source) != digest
+        assert cbuild._digest(source + b"\n") != digest

@@ -217,8 +217,8 @@ class TestPolicyRegistry:
         assert not policy.should_relocate(counters, 5, node=0)
         assert not policy.should_relocate(counters, 5, node=0)
         assert not policy.should_relocate(counters, 5, node=1)
-        assert policy._scores == {(0, 5): pytest.approx(1.9),
-                                  (1, 5): 1.0}
+        assert policy.pressure(5, 0) == pytest.approx(1.9)
+        assert policy.pressure(5, 1) == 1.0
 
     def test_ready_policy_instance_used_verbatim(self):
         cfg = base_config()
