@@ -106,13 +106,19 @@ def _op_totals(stats) -> dict:
 
 
 def _assert_kernel_matches_batched(cfg, spec, trace, monkeypatch,
-                                   expect_bails=(), expect_ops=()):
+                                   expect_bails=(), expect_ops=(),
+                                   with_legacy=False):
     require_c_backend()
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
     ref_machine = Machine(cfg, spec)
     ref_stats = ref_machine.run(trace, engine="batched")
     assert_invariants(ref_machine, ref_stats)
     ref = fingerprint(ref_machine, ref_stats)
+    if with_legacy:
+        legacy = Machine(cfg, spec)
+        legacy_stats = legacy.run(trace, engine="legacy")
+        assert_invariants(legacy, legacy_stats)
+        assert fingerprint(legacy, legacy_stats) == ref
     machine = Machine(cfg, spec)
     stats = machine.run(trace, engine="kernel")
     assert_invariants(machine, stats)
@@ -174,7 +180,8 @@ class TestFullFamilyEquivalence:
         prof = _assert_kernel_matches_batched(
             cfg, _spec_for(variant), _harsh_trace(cfg), monkeypatch,
             expect_bails=self.EXPECT_BAILS[variant],
-            expect_ops=self.EXPECT_OPS[variant]).engine_profile
+            expect_ops=self.EXPECT_OPS[variant],
+            with_legacy=True).engine_profile
         assert prof["bail_kinds"]["decide"] == 0
         if variant == "migrep-hysteresis":
             # the pure-hysteresis MigRep never leaves the compiled loop,
