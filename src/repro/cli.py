@@ -291,25 +291,32 @@ def _render_profile(runner: SweepRunner, rs: ResultSet) -> str:
     if not profs:
         lines.append("(no engine profiles: the runs used the legacy engine)")
         return "\n".join(lines)
+    # walk_s is the time inside the compiled walk; wall_s - walk_s is the
+    # kernel driver's share (a batched run has no walk: "-")
     header = (f"{'app':<12} {'system':<14} {'engine':<15} "
               f"{'refs':>9} {'fast':>9} {'demoted':>8} "
-              f"{'residual':>9} {'wall_s':>8} {'rss_mb':>7} {'strm_mb':>8}")
+              f"{'residual':>9} {'wall_s':>8} {'walk_s':>8} {'rss_mb':>7} "
+              f"{'strm_mb':>8}")
     lines += [header, "-" * len(header)]
     totals = {"references": 0, "fast": 0, "demoted": 0,
               "residual": 0, "wall_s": 0.0}
+    walk_total = 0.0
     peak_rss_kb = 0
     streamed = 0
     fallbacks = []
     for app, system_name, prof in profs:
         rss_kb = int(prof.get("peak_rss_kb") or 0)
         run_streamed = int(prof.get("bytes_streamed") or 0)
+        walk_s = prof.get("walk_s")
         lines.append(
             f"{app:<12} {system_name:<14} {_engine_label(prof):<15} "
             f"{prof['references']:>9} {prof['fast']:>9} {prof['demoted']:>8} "
             f"{prof['residual']:>9} {prof['wall_s']:>8.3f} "
+            f"{'-' if walk_s is None else f'{walk_s:.3f}':>8} "
             f"{rss_kb / 1024:>7.1f} {run_streamed / (1 << 20):>8.1f}")
         for k in totals:
             totals[k] += prof[k]
+        walk_total += walk_s or 0.0
         peak_rss_kb = max(peak_rss_kb, rss_kb)
         streamed += run_streamed
         reason = prof.get("fallback_reason")
@@ -319,6 +326,7 @@ def _render_profile(runner: SweepRunner, rs: ResultSet) -> str:
         f"{'total':<12} {'':<14} {'':<15} {totals['references']:>9} "
         f"{totals['fast']:>9} {totals['demoted']:>8} "
         f"{totals['residual']:>9} {totals['wall_s']:>8.3f} "
+        f"{walk_total:>8.3f} "
         f"{peak_rss_kb / 1024:>7.1f} {streamed / (1 << 20):>8.1f}")
     if fallbacks:
         lines.append("kernel fallbacks:")

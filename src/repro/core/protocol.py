@@ -22,6 +22,7 @@ construction and accessed by duck typing to avoid an import cycle.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from repro.interconnect.message import MessageType
@@ -91,7 +92,10 @@ class DSMProtocol:
     name = "base"
 
     def __init__(self, machine: "Machine") -> None:
-        self.machine = machine
+        # a proxy, not a reference: the machine owns the protocol, and a
+        # back reference would make the pair a cycle that only the
+        # cyclic GC frees, stores and all
+        self.machine = weakref.proxy(machine)
         self.cfg = machine.cfg
         self.costs = machine.cfg.costs
         self.addr = machine.addr

@@ -19,7 +19,7 @@ an exception anywhere in an engine's phase loop cannot leak either
 effect.
 
 :func:`backend_crash_guard` wraps the kernel engine's calls into its C
-walk (the per-phase bind and every re-entry): an exception escaping
+walk (the bind and every re-entry): an exception escaping
 there — a marshalling bug, a broken C build — is re-raised as
 :class:`KernelBackendError`, which :func:`repro.engine.kernel.run_kernel`
 catches to re-run the trace on the batched engine from a pristine

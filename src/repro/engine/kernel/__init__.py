@@ -1,15 +1,18 @@
 """The compiled kernel — ``engine=kernel``.
 
 The kernel runs the interpreter's reference loop against flat
-index-addressed array stores instead of Python objects: per phase it
-marshals the simulator's stores into zero-copy numpy views
-(:mod:`repro.engine.kernel.state`) and hands the phase's own
-``blocks``/``writes`` streams to its one compiled walk, ``cwalk.c``,
-built on demand by :mod:`repro.engine.kernel.cbuild` with the system C
-compiler.  The walk visits the references in the interpreter's
-round-robin ``(i, p)`` order and probes every one; nothing is
-classified ahead of it, so a page operation's L1 shootdown needs no
-repair — the next probe of a flushed line misses.
+index-addressed array stores instead of Python objects: once per run
+it reserves the simulator's stores for the whole trace, marshals them
+into zero-copy numpy views (:mod:`repro.engine.kernel.state`) and hands
+every phase's own ``blocks``/``writes`` streams to its one compiled
+walk, ``cwalk.c``, built on demand by :mod:`repro.engine.kernel.cbuild`
+with the system C compiler.  (A trace with more than
+:data:`SEGMENT_BYTES` of streams takes those steps once per segment of
+phases.)  The walk visits each phase's references in the interpreter's
+round-robin ``(i, p)`` order and probes every one, then runs the
+phase's barrier; nothing is classified ahead of it, so a page
+operation's L1 shootdown needs no repair — the next probe of a flushed
+line misses.
 
 The walk runs the probe/upgrade/local-fill/block-cache lanes — plus
 the page-cache probe lane for S-COMA-family systems, the home-side
@@ -30,8 +33,9 @@ a fired migration of a replicated page, which ``vm.migrate`` refuses
 evaluations of a policy the walk does not know, such as a user
 subclass or registration (``decide``).  That loop services
 the bail with ordinary protocol calls and re-enters the walk at its
-interleave cursor, just past the bailed reference; the delta mirrors
-are folded at phase end.  Under the
+phase and interleave cursors, just past the bailed reference; the walk
+is entered once per run plus once per bail, and the delta mirrors and
+the run's stall totals are folded after its last entry.  Under the
 stock policies bails are rare: ``repro exp figure5 --scale 0.5`` bails
 36 times in 10.8 million references, all of them replica collapses, and
 ``repro exp policy-adaptivity --scale 0.15`` 280 times, so the walk's
@@ -71,12 +75,12 @@ from repro.engine._guard import (
     engine_run_guard,
 )
 from repro.engine.kernel.state import (
-    CON_COMPUTE, CON_MAX_LEN, KernelState,
+    KernelState,
     OUT_BLOCK, OUT_CLOCK, OUT_EVAL, OUT_FAULT, OUT_HOME, OUT_MODE, OUT_P,
     OUT_PAGE, OUT_SERVICE, OUT_START, OUT_VERSION, OUT_WAIT, OUT_WRITE,
-    PP_ACC_CONT, PP_ACC_FAULT, PP_ACC_LOCAL, PP_ACC_PAGEOP, PP_ACC_REMOTE,
-    PP_ACC_UPGRADE, PP_CLOCK, PP_EVICT, PP_HITS, PP_INVAL, PP_LEN,
-    PP_MISS, PP_NODE, PP_UPG,
+    PP_ACC_BARRIER, PP_ACC_COMPUTE, PP_ACC_CONT, PP_ACC_FAULT, PP_ACC_LOCAL,
+    PP_ACC_PAGEOP, PP_ACC_REMOTE, PP_ACC_UPGRADE, PP_CLOCK, PP_EVICT,
+    PP_HITS, PP_INVAL, PP_MISS, PP_UPG,
     RC_BAIL_COLLAPSE, RC_BAIL_DECIDE, RC_BAIL_FAULT, RC_BAIL_MIGRATE,
     RC_BAIL_PAGECACHE, RC_BAIL_RELOCATE, RC_DONE, schedule_arrays,
 )
@@ -101,6 +105,14 @@ _BAIL_NAMES = {RC_BAIL_FAULT: "fault", RC_BAIL_COLLAPSE: "collapse",
 #: walk replicates in place, so ``replicate`` always reads 0
 BAIL_KIND_NAMES = ("fault", "collapse", "replicate", "migrate",
                    "relocate", "decide", "pagecache")
+
+#: stream bytes (block ids and write flags) one binding of the walk
+#: holds at most, plus one phase: a trace with more is walked in segments
+#: of phases, each reserved, viewed and bound on its own.  Every phase of
+#: the paper's traces fits one segment; the bound keeps a streamed trace
+#: whose phases are served as fresh arrays (multi-chunk ``.rpt`` streams)
+#: from being held whole.
+SEGMENT_BYTES = 64 << 20
 
 #: exact protocol types whose protocol lanes the C walk transcribes
 _KERNEL_PROTOCOLS = (CCNUMAProtocol, MigRepProtocol, RNUMAProtocol,
@@ -157,10 +169,11 @@ def _resolve_backend(forced: str):
     """Resolve ``(bind, name)`` for the requested backend.
 
     ``bind(args) -> runner`` takes the walk's argument tuple once per
-    phase and returns a zero-argument ``runner() -> rc`` that (re-)enters
-    the walk — binding once lets the C binding cache its per-phase
-    argument marshalling.  Returns ``(None, reason)`` when the request
-    is unknown or the C walk cannot be built.
+    run (per segment of a long trace) and returns a zero-argument
+    ``runner() -> rc`` that (re-)enters the walk — binding once lets the
+    C binding cache its argument marshalling across the bails.  Returns
+    ``(None, reason)`` when the request is unknown or the C walk cannot
+    be built.
     """
     if forced not in ("", "auto", "c"):
         return None, f"unknown {BACKEND_ENV_VAR}={forced!r}"
@@ -239,54 +252,67 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
     pp = st.pp
     out = st.out
 
-    prof_total = 0
+    n_phases = 0
+    accesses = [0] * P
     bails = 0
     bail_kinds = {name: 0 for name in BAIL_KIND_NAMES}
+    walk_s = 0.0
     run_t0 = perf_counter()
 
     with engine_run_guard():
-        for phase in trace.phases:
-            blocks_np = phase.blocks
-            if len(blocks_np) != num_procs:
-                raise ValueError(
-                    "phase stream count does not match trace.num_procs")
-            lengths = [len(seq) for seq in blocks_np]
-            compute = phase.compute_per_access
-
+        for p in range(P):
+            pp[PP_CLOCK * P + p] = timing_procs[p].clock
+        st.load_absolutes()
+        phases = iter(trace.phases)
+        while True:
+            # one pass over a segment's streams builds the walk's
+            # phase-major tables and finds their largest block; a segment
+            # ends after the phase that brings its streams to
+            # SEGMENT_BYTES, so the phases a streamed trace serves as
+            # fresh arrays never pile up past that
+            blocks, writes, lengths, compute = [], [], [], []
             max_block = -1
-            for arr in blocks_np:
-                if len(arr):
-                    m = int(arr.max())
-                    if m > max_block:
-                        max_block = m
-            st.reserve_for_phase(max_block)
-
-            columns = schedule_arrays(phase)
-            prof_total += sum(lengths)
+            held = 0
+            for phase in phases:
+                if len(phase.blocks) != num_procs:
+                    raise ValueError(
+                        "phase stream count does not match trace.num_procs")
+                for arr in phase.blocks:
+                    if len(arr):
+                        m = int(arr.max())
+                        if m > max_block:
+                            max_block = m
+                columns = schedule_arrays(phase)
+                blocks += columns[0]
+                writes += columns[1]
+                lengths += map(len, columns[0])
+                compute.append(phase.compute_per_access)
+                held += sum(a.nbytes for a in columns[0] + columns[1])
+                if held >= SEGMENT_BYTES:
+                    break
+            if not compute:
+                break   # every phase is walked
+            n_phases += len(compute)
+            for p in range(P):
+                accesses[p] += sum(lengths[p::P])
+            st.reserve(max_block)
 
             st.marshal_phase()
-            st.con[CON_COMPUTE] = compute
-            st.con[CON_MAX_LEN] = max(lengths, default=0)
-            pp[:] = 0
-            for p in range(P):
-                pp[PP_NODE * P + p] = node_of[p]
-                pp[PP_CLOCK * P + p] = timing_procs[p].clock
-                pp[PP_LEN * P + p] = lengths[p]
-            st.load_absolutes()
-
             with backend_crash_guard(backend_name):
-                st.bind_walk(bind, columns)
+                st.bind_walk(bind, blocks, writes, lengths, compute)
 
             while True:
                 with backend_crash_guard(backend_name):
+                    t0 = perf_counter()
                     rc = st.runner()
+                    walk_s += perf_counter() - t0
                 if rc == RC_DONE:
                     break
                 bails += 1
                 bail_kinds[_BAIL_NAMES[rc]] += 1
-                # the bail handlers read/advance the live NICs; every
-                # other mirror is either a shared view (already exact)
-                # or a pure-increment delta (folded at phase end)
+                # the bail handlers read/advance the live NICs; every other
+                # mirror is either a shared view (already exact) or a
+                # pure-increment delta (folded after the walk)
                 st.sync_nics_out()
                 p = int(out[OUT_P])
                 block = int(out[OUT_BLOCK])
@@ -306,8 +332,8 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                         int(out[OUT_HOME]), mode)
                     fault = int(out[OUT_FAULT])
                 elif rc == RC_BAIL_DECIDE:
-                    # the walk completed the fill; run the evaluations
-                    # of the policies it does not know, in batched order
+                    # the walk completed the fill; run the evaluations of the
+                    # policies it does not know, in batched order
                     service = int(out[OUT_SERVICE])
                     version = int(out[OUT_VERSION])
                     remote = True
@@ -320,16 +346,15 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                         pageop += evaluate_migrep(
                             page, node, int(out[OUT_HOME]), start)
                 else:
-                    # the walk completed the fill; run the page operation
-                    # it could not: a relocation that must evict first,
-                    # or a migration vm.migrate refuses
+                    # the walk completed the fill; run the page operation it
+                    # could not: a relocation that must evict first, or a
+                    # migration vm.migrate refuses
                     service = int(out[OUT_SERVICE])
                     version = int(out[OUT_VERSION])
                     remote = True
                     fault = int(out[OUT_FAULT])
                     if rc == RC_BAIL_MIGRATE:
-                        pageop = protocol._perform_migration(
-                            page, node, start)
+                        pageop = protocol._perform_migration(page, node, start)
                     else:
                         pageop = perform_relocation(node, page, start)
                 # generic tail: L1 fill + eviction notification
@@ -360,33 +385,41 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
                 # protocol calls may have advanced the NICs
                 st.load_nics()
 
-            st.flush()
-            # per-phase statistics flush
-            for p in range(P):
-                n_hits = int(pp[PP_HITS * P + p])
-                pt = timing_procs[p]
-                pt.advance(StallKind.COMPUTE, compute * lengths[p])
-                pt.advance(StallKind.L1_HIT, l1_hit_cost * n_hits)
-                pt.advance(StallKind.LOCAL_MISS, int(pp[PP_ACC_LOCAL * P + p]))
-                pt.advance(StallKind.REMOTE_MISS,
-                           int(pp[PP_ACC_REMOTE * P + p]))
-                pt.advance(StallKind.UPGRADE, int(pp[PP_ACC_UPGRADE * P + p]))
-                pt.advance(StallKind.PAGE_OP, int(pp[PP_ACC_PAGEOP * P + p]))
-                pt.advance(StallKind.MAPPING_FAULT,
-                           int(pp[PP_ACC_FAULT * P + p]))
-                pt.advance(StallKind.CONTENTION, int(pp[PP_ACC_CONT * P + p]))
-                ns = node_stats[node_of[p]]
-                ns.accesses += lengths[p]
-                ns.l1_hits += n_hits
-                caches[p].credit_batch(
-                    hits=n_hits + int(pp[PP_UPG * P + p]),
-                    misses=int(pp[PP_MISS * P + p]),
-                    evictions=int(pp[PP_EVICT * P + p]),
-                    invalidations=int(pp[PP_INVAL * P + p]))
             st.release()
 
-            machine.timing.barrier(costs.barrier_cost)
-            machine.stats.barrier_count += 1
+        st.flush()
+        # the run's statistics, folded once: advancing a clock by a sum
+        # of stall cycles equals advancing it by each in turn
+        for p in range(P):
+            n_hits = int(pp[PP_HITS * P + p])
+            pt = timing_procs[p]
+            for kind, cycles in (
+                    (StallKind.COMPUTE, int(pp[PP_ACC_COMPUTE * P + p])),
+                    (StallKind.L1_HIT, l1_hit_cost * n_hits),
+                    (StallKind.LOCAL_MISS, int(pp[PP_ACC_LOCAL * P + p])),
+                    (StallKind.REMOTE_MISS, int(pp[PP_ACC_REMOTE * P + p])),
+                    (StallKind.UPGRADE, int(pp[PP_ACC_UPGRADE * P + p])),
+                    (StallKind.PAGE_OP, int(pp[PP_ACC_PAGEOP * P + p])),
+                    (StallKind.MAPPING_FAULT, int(pp[PP_ACC_FAULT * P + p])),
+                    (StallKind.CONTENTION, int(pp[PP_ACC_CONT * P + p])),
+                    (StallKind.BARRIER, int(pp[PP_ACC_BARRIER * P + p]))):
+                pt.advance(kind, cycles)
+            ns = node_stats[node_of[p]]
+            ns.accesses += accesses[p]
+            ns.l1_hits += n_hits
+            caches[p].credit_batch(
+                hits=n_hits + int(pp[PP_UPG * P + p]),
+                misses=int(pp[PP_MISS * P + p]),
+                evictions=int(pp[PP_EVICT * P + p]),
+                invalidations=int(pp[PP_INVAL * P + p]))
+        if n_phases:
+            # the processors without a stream wait at every barrier, and
+            # the last one leaves them at the streams' common clock
+            target = int(pp[PP_CLOCK * P])
+            for pt in timing_procs[P:]:
+                pt.advance(StallKind.BARRIER, target - pt.clock)
+        machine.timing.barriers += n_phases
+        machine.stats.barrier_count += n_phases
 
     machine.stats.execution_time = machine.timing.max_clock()
     machine.stats.proc_finish_times = [
@@ -401,13 +434,16 @@ def _run(machine: "Machine", trace, bind, backend_name: str) -> MachineStats:
         "backend": backend_name,
         # every reference is walked: nothing is resolved ahead of the
         # walk, so nothing can be demoted back into it
-        "references": prof_total,
+        "references": sum(accesses),
         "fast": 0,
         "demoted": 0,
-        "residual": prof_total,
-        "phases": len(trace.phases),
+        "residual": sum(accesses),
+        "phases": n_phases,
         "bails": bails,
         "bail_kinds": bail_kinds,
         "wall_s": round(perf_counter() - run_t0, 6),
+        # the time inside the walk's entries; the rest of wall_s is the
+        # driver's: marshalling, bail service and the statistics fold
+        "walk_s": round(walk_s, 6),
     }
     return machine.stats

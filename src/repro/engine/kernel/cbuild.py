@@ -10,12 +10,15 @@ translation unit is generated: the layout constants of
 ``$REPRO_KERNEL_CACHE`` / the system temp dir when the package directory
 is read-only) keyed by a hash of that whole generated source and the
 compile flags, so each revision of the walk, of its layout or of its
-flags compiles at most once per machine.
+flags compiles at most once per machine; a build removes the shared
+objects of every other revision from its cache directory.
 
 Everything degrades gracefully: no compiler, a failed compile or a
 failed ``dlopen`` all yield ``None`` from :func:`load_cwalk` and the
 engine falls back to the batched engine.  Set ``REPRO_KERNEL_CC`` (or
-the conventional ``CC``) to pick a specific compiler.
+the conventional ``CC``) to pick a specific compiler.  An explicit
+``REPRO_KERNEL_CC`` that does not resolve turns the C walk off, even
+when a built walk is cached.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from repro.engine.kernel.state import LAYOUT
 
 _SOURCE = Path(__file__).with_name("cwalk.c")
-_N_ARGS = 52
+_N_ARGS = 54
 
 #: ``-ffp-contract=off``: the walk's float updates (``old * decay + 1.0``)
 #: must round twice, as CPython does.  GCC contracts them into one fused
@@ -97,7 +100,22 @@ def _digest(source: bytes) -> str:
         "\0".join(_CFLAGS).encode() + b"\0" + source).hexdigest()[:16]
 
 
+def _prune(cache: Path, keep: Path) -> None:
+    """Unlink every walk in ``cache`` but ``keep``: superseded revisions.
+
+    A process that has one of them loaded keeps its own mapping."""
+    for old in cache.glob("cwalk-*.so"):
+        if old != keep:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
 def _build() -> Optional[ctypes.CDLL]:
+    cc = _compiler()
+    if cc is None and os.environ.get("REPRO_KERNEL_CC") is not None:
+        return None   # the explicit compiler is authoritative, cache or not
     try:
         source = _source()
     except OSError:
@@ -109,7 +127,6 @@ def _build() -> Optional[ctypes.CDLL]:
         return None
     so_path = cache / f"cwalk-{digest}.so"
     if not so_path.exists():
-        cc = _compiler()
         if cc is None:
             return None
         tmp = so_path.with_name(f".{so_path.name}.{os.getpid()}.tmp")
@@ -129,10 +146,33 @@ def _build() -> Optional[ctypes.CDLL]:
                     leftover.unlink(missing_ok=True)
                 except OSError:
                     pass
+        _prune(cache, so_path)
     try:
         return ctypes.CDLL(str(so_path))
     except OSError:
         return None
+
+
+#: a zero-length ``char`` array type: ``from_buffer`` over an array is
+#: an address read holding the array's buffer export
+_Anchor = ctypes.c_char * 0
+
+
+def _address(array: np.ndarray, pins: list) -> int:
+    """The data address of a contiguous ``array``; ``pins`` keeps it valid.
+
+    A writable array's address comes through a ``from_buffer`` anchor,
+    several times cheaper than ``ndarray.ctypes``.  ``from_buffer``
+    refuses read-only buffers, such as the streams of an ``.rpt``
+    mmap, which take the ``ndarray.ctypes`` route.
+    """
+    try:
+        anchor = _Anchor.from_buffer(array)
+    except TypeError:
+        pins.append(array)
+        return array.ctypes.data
+    pins.append(anchor)
+    return ctypes.addressof(anchor)
 
 
 def load_cwalk() -> Optional[Callable]:
@@ -142,9 +182,9 @@ def load_cwalk() -> Optional[Callable]:
     in order (built by
     :meth:`~repro.engine.kernel.state.KernelState.bind_walk`).  ``bind``
     flattens the list-of-array arguments into pointer tables once per
-    phase; ``runner() -> rc`` (re-)enters the walk with those pointers,
-    which stay valid for the whole phase: nothing replaces an argument
-    array between re-entries.
+    binding; ``runner() -> rc`` (re-)enters the walk with those
+    pointers, which stay valid while the runner lives: nothing replaces
+    an argument array between re-entries.
     """
     global _loaded, _caller
     if _loaded:
@@ -163,23 +203,22 @@ def load_cwalk() -> Optional[Callable]:
     def bind(args) -> Callable[[], int]:
         if len(args) != _N_ARGS:  # pragma: no cover - internal contract
             raise ValueError("kernel walk argument count mismatch")
+        pins = []   # buffer exports and tables, kept alive by the runner
         c_args = []
-        tables = []   # kept alive by the closure for the phase
         for a in args:
             if isinstance(a, list):
-                tab = np.fromiter((x.ctypes.data for x in a),
+                tab = np.fromiter((_address(x, pins) for x in a),
                                   dtype=np.uint64, count=len(a))
-                tables.append(tab)
-                c_args.append(tab.ctypes.data)
+                c_args.append(_address(tab, pins))
             else:
-                c_args.append(a.ctypes.data)
+                c_args.append(_address(a, pins))
 
         def runner() -> int:
             return fn(*c_args)
 
         # the raw pointers in c_args are only valid while the tables and
         # argument arrays are alive — pin them to the runner's lifetime
-        runner.keepalive = (args, tables)
+        runner.keepalive = (args, pins)
         return runner
 
     _caller = bind

@@ -2,10 +2,12 @@
  *
  * The reference loop of repro/engine/legacy.py with every Python object
  * access replaced by flat-array access on the views built by
- * repro/engine/kernel/state.py.  It walks the phase's own blocks/writes
- * streams in legacy's round-robin (i, p) order and probes every
- * reference: a hit touches no shared state, and a page operation's L1
- * flush needs no repair, since the next probe of a flushed line misses.
+ * repro/engine/kernel/state.py.  It walks every phase of the run: each
+ * phase's own blocks/writes streams in legacy's round-robin (i, p) order,
+ * probing every reference (a hit touches no shared state, and a page
+ * operation's L1 flush needs no repair, since the next probe of a flushed
+ * line misses), then the phase's barrier.  The stall cycles accumulate
+ * per processor over the whole run, one pp row per stall kind.
  *
  * Every stock decision policy is evaluated here too: the stateless ones
  * as integer thresholds state.py lowers them to, the hysteresis ones by
@@ -14,7 +16,7 @@
  * the same arrays (see the page operations below), so the walk keeps
  * walking.
  *
- * The walk returns RC_DONE when every stream is exhausted, or bails with
+ * The walk returns RC_DONE when every phase is walked, or bails with
  * an RC_BAIL_* code, filling the `out` record, whenever an access needs
  * protocol machinery that only exists in Python: a mapping fault under a
  * placement policy, a write to a replicated page (collapse), a fired
@@ -24,8 +26,8 @@
  * know (a user subclass or registration).  All
  * bookkeeping lives in the caller-owned arrays, so the caller services
  * the bail with ordinary protocol calls and re-enters; the walk resumes
- * at the interleave cursor mut[MUT_K], which has already moved past the
- * bailed reference.
+ * at the phase cursor mut[MUT_PHASE] and the interleave cursor mut[MUT_K],
+ * which has already moved past the bailed reference.
  *
  * The layout constants (CON_*, FCON_*, PP_*, NN_*, MUT_*, OUT_*, RC_*)
  * are not defined here: cbuild.py generates them from state.py and
@@ -38,6 +40,7 @@
 #include <stdint.h>
 
 #define BAIL(code) do { \
+    mut[MUT_PHASE] = phase; \
     mut[MUT_K] = k; \
     out[OUT_KIND] = (code); \
     out[OUT_P] = p; \
@@ -426,7 +429,7 @@ int64_t repro_kernel_walk(
     uint8_t** pt_writable, int64_t** pt_remaps,
     int64_t** bc_blocks, int64_t** bc_versions, uint8_t** bc_dirty,
     int64_t** cb, int64_t** cv, uint8_t** cd,
-    int64_t** blocks, uint8_t** writes,
+    int64_t** blocks, uint8_t** writes, int64_t* ph_len, int64_t* ph_compute,
     int64_t** rf_counts, int64_t* pg_totals, double** rn_scores,
     uint8_t** pc_res, int64_t** pc_version, uint8_t** pc_dirty,
     int64_t** pc_stamp, int64_t** pc_clock, int64_t** pc_nvalid,
@@ -436,9 +439,10 @@ int64_t repro_kernel_walk(
     const int64_t P = con[CON_NUM_PROCS];
     const int64_t N = con[CON_NUM_NODES];
     const int64_t bpp = con[CON_BPP];
-    const int64_t compute = con[CON_COMPUTE];
     const int64_t l1_hit_cost = con[CON_L1_HIT];
-    const int64_t n_keys = con[CON_MAX_LEN] * P;
+    const int64_t n_phases = con[CON_NUM_PHASES];
+    const int64_t idle_clock = con[CON_IDLE_CLOCK];
+    const int64_t barrier_cost = con[CON_BARRIER_COST];
     const int64_t bus_occ = con[CON_BUS_OCC];
     const int64_t bus_enabled = con[CON_BUS_ENABLED];
     const int64_t local_miss_cost = con[CON_LOCAL_MISS];
@@ -499,217 +503,205 @@ int64_t repro_kernel_walk(
         cb, cd, rf_counts, pc_stamp, pc_clock, pc_count, pc_res,
         alloc_cost, gather_cost};
 
-    /* the interleave cursor k = i * P + p; (ni, np_) is the reference
-     * it points at */
+    /* the phase cursor, and the interleave cursor k = i * P + p within
+     * the phase; a bail has already moved k past its reference, so only
+     * a phase's first entry runs its prologue */
+    int64_t phase = mut[MUT_PHASE];
     int64_t k = mut[MUT_K];
-    int64_t ni = k / P, np_ = k % P;
 
-    while (k < n_keys) {
-        const int64_t i = ni, p = np_;
-        /* move past this reference before it can bail */
-        k += 1;
-        if (++np_ == P) { np_ = 0; ni += 1; }
-        if (i >= pp[PP_LEN * P + p])
-            continue;
-        const int64_t block = blocks[p][i];
-        const int64_t is_write = writes[p][i];
-        int64_t clock = pp[PP_CLOCK * P + p] + compute;
-        int64_t node = pp[PP_NODE * P + p];
-        int64_t* cb_p = cb[p];
-        int64_t* cv_p = cv[p];
-        uint8_t* cd_p = cd[p];
-        int64_t idx = block % num_lines;
-        int64_t version, service, extra, contention;
-
-        if (cb_p[idx] == block) {
-            version = dir_versions[block];
-            if (cv_p[idx] >= version) {
-                if (!is_write) {
-                    pp[PP_HITS * P + p] += 1;
-                    pp[PP_CLOCK * P + p] = clock + l1_hit_cost;
-                    continue;
-                }
-                if (cd_p[idx]) {
-                    pp[PP_HITS * P + p] += 1;
-                    pp[PP_CLOCK * P + p] = clock + l1_hit_cost;
-                    continue;
-                }
-                /* write upgrade: invalidate other sharers */
-                pp[PP_UPG * P + p] += 1;
-                int64_t page = block / bpp;
-                int64_t start, wait;
-                if (bus_enabled) {
-                    int64_t free_ = nn[NN_BUS_FREE * N + node];
-                    start = clock >= free_ ? clock : free_;
-                    nn[NN_BUS_WAIT * N + node] += start - clock;
-                    nn[NN_BUS_FREE * N + node] = start + bus_occ;
-                } else {
-                    start = clock;
-                }
-                nn[NN_BUS_TXN * N + node] += 1;
-                wait = start - clock;
-                /* inlined base handle_upgrade */
-                nn[NN_NS_UPGRADES * N + node] += 1;
-                int64_t home = vm_home[page];
-                DIR_WRITE();
-                int64_t new_version = version;
-                int64_t latency;
-                if (home < 0 || home == node) {
-                    latency = local_miss_cost + extra;
-                } else {
-                    msg_delta[write_i] += 1;
-                    msg_delta[data_i] += 1;
-                    mut[MUT_BYTES] += sz_write_pair;
-                    NIC_ROUND_TRIP();
-                    latency = remote_miss_cost + contention + extra;
-                }
-                /* inlined touch_write (the probed line holds `block`) */
-                cd_p[idx] = 1;
-                if (new_version > cv_p[idx])
-                    cv_p[idx] = new_version;
-                pp[PP_ACC_CONT * P + p] += wait;
-                pp[PP_ACC_UPGRADE * P + p] += latency;
-                pp[PP_CLOCK * P + p] = clock + wait + latency;
+    for (; phase < n_phases; phase++, k = 0) {
+        int64_t** const ph_blocks = blocks + phase * P;
+        uint8_t** const ph_writes = writes + phase * P;
+        const int64_t* const lens = ph_len + phase * P;
+        const int64_t compute = ph_compute[phase];
+        int64_t max_len = 0;
+        for (int64_t p = 0; p < P; p++)
+            if (lens[p] > max_len)
+                max_len = lens[p];
+        const int64_t n_keys = max_len * P;
+        if (k == 0) {
+            /* phase prologue: every reference's compute, charged up front */
+            for (int64_t p = 0; p < P; p++)
+                pp[PP_ACC_COMPUTE * P + p] += compute * lens[p];
+        }
+        /* (ni, np_) is the reference k points at */
+        int64_t ni = k / P, np_ = k % P;
+        while (k < n_keys) {
+            const int64_t i = ni, p = np_;
+            /* move past this reference before it can bail */
+            k += 1;
+            if (++np_ == P) { np_ = 0; ni += 1; }
+            if (i >= lens[p])
                 continue;
-            }
-            /* stale copy: drop it so the fill below refreshes it */
-            cb_p[idx] = -1;
-            cd_p[idx] = 0;
-            pp[PP_INVAL * P + p] += 1;
-        }
+            const int64_t block = ph_blocks[p][i];
+            const int64_t is_write = ph_writes[p][i];
+            int64_t clock = pp[PP_CLOCK * P + p] + compute;
+            int64_t node = pp[PP_NODE * P + p];
+            int64_t* cb_p = cb[p];
+            int64_t* cv_p = cv[p];
+            uint8_t* cd_p = cd[p];
+            int64_t idx = block % num_lines;
+            int64_t version, service, extra, contention;
 
-        /* miss path (absent line or stale drop) */
-        pp[PP_MISS * P + p] += 1;
-        int64_t page = block / bpp;
-        int64_t start, wait;
-        if (bus_enabled) {
-            int64_t free_ = nn[NN_BUS_FREE * N + node];
-            start = clock >= free_ ? clock : free_;
-            nn[NN_BUS_WAIT * N + node] += start - clock;
-            nn[NN_BUS_FREE * N + node] = start + bus_occ;
-        } else {
-            start = clock;
-        }
-        nn[NN_BUS_TXN * N + node] += 1;
-        wait = start - clock;
-
-        int64_t home = vm_home[page];
-        int64_t mode_c = home >= 0 ? (int64_t)pt_modes[node][page] : 0;
-        int64_t fault = 0;
-        if (mode_c == 0) {
-            /* mapping fault (inlined ensure_mapped).  First touches under
-             * a configured placement policy bail — only Python knows the
-             * policy; first-touch placement itself and remap faults on
-             * already-placed pages run right here. */
-            if (home < 0 && !first_touch_ok)
-                BAIL(RC_BAIL_FAULT);
-            if (home < 0) {
-                /* first touch: home the page at the requester */
-                home = node;
-                vm_home[page] = node;
-                vm_first[page] = node;
-                mut[MUT_FIRST_TOUCHES] += 1;
-            }
-            fault = soft_trap;
-            nn[NN_MAPFAULT * N + node] += 1;
-            pt_faults[node][page] += 1;
-            pt_tracked[node][page] = 1;
-            if (home == node) {
-                mode_c = local_home_code;
-            } else {
-                /* map request/reply, both one-way messages sent at t=0 */
-                mode_c = ccnuma_remote_code;
-                msg_delta[map_req_i] += 1;
-                msg_delta[map_reply_i] += 1;
-                mut[MUT_BYTES] += sz_map_pair;
-                int64_t occ2 = nic_occ + nic_occ;
-                if (!net_enabled) {
-                    nn[NN_NIC_MSGS * N + node] += 2;
-                    nn[NN_NIC_MSGS * N + home] += 2;
-                    nn[NN_NIC_BUSY * N + node] += occ2;
-                    nn[NN_NIC_BUSY * N + home] += occ2;
-                } else {
-                    int64_t free_, s1, t, s2, s3, t3, s4;
-                    free_ = nn[NN_NIC_FREE * N + node];
-                    s1 = 0 >= free_ ? 0 : free_;
-                    nn[NN_NIC_WAIT * N + node] += s1;
-                    nn[NN_NIC_FREE * N + node] = s1 + nic_occ;
-                    t = s1 + nic_occ + net_latency;
-                    free_ = nn[NN_NIC_FREE * N + home];
-                    s2 = t >= free_ ? t : free_;
-                    nn[NN_NIC_WAIT * N + home] += s2 - t;
-                    nn[NN_NIC_FREE * N + home] = s2 + nic_occ;
-                    free_ = nn[NN_NIC_FREE * N + home];
-                    s3 = 0 >= free_ ? 0 : free_;
-                    nn[NN_NIC_WAIT * N + home] += s3;
-                    nn[NN_NIC_FREE * N + home] = s3 + nic_occ;
-                    t3 = s3 + nic_occ + net_latency;
-                    free_ = nn[NN_NIC_FREE * N + node];
-                    s4 = t3 >= free_ ? t3 : free_;
-                    nn[NN_NIC_WAIT * N + node] += s4 - t3;
-                    nn[NN_NIC_FREE * N + node] = s4 + nic_occ;
-                    nn[NN_NIC_MSGS * N + node] += 2;
-                    nn[NN_NIC_MSGS * N + home] += 2;
-                    nn[NN_NIC_BUSY * N + node] += occ2;
-                    nn[NN_NIC_BUSY * N + home] += occ2;
+            if (cb_p[idx] == block) {
+                version = dir_versions[block];
+                if (cv_p[idx] >= version) {
+                    if (!is_write) {
+                        pp[PP_HITS * P + p] += 1;
+                        pp[PP_CLOCK * P + p] = clock + l1_hit_cost;
+                        continue;
+                    }
+                    if (cd_p[idx]) {
+                        pp[PP_HITS * P + p] += 1;
+                        pp[PP_CLOCK * P + p] = clock + l1_hit_cost;
+                        continue;
+                    }
+                    /* write upgrade: invalidate other sharers */
+                    pp[PP_UPG * P + p] += 1;
+                    int64_t page = block / bpp;
+                    int64_t start, wait;
+                    if (bus_enabled) {
+                        int64_t free_ = nn[NN_BUS_FREE * N + node];
+                        start = clock >= free_ ? clock : free_;
+                        nn[NN_BUS_WAIT * N + node] += start - clock;
+                        nn[NN_BUS_FREE * N + node] = start + bus_occ;
+                    } else {
+                        start = clock;
+                    }
+                    nn[NN_BUS_TXN * N + node] += 1;
+                    wait = start - clock;
+                    /* inlined base handle_upgrade */
+                    nn[NN_NS_UPGRADES * N + node] += 1;
+                    int64_t home = vm_home[page];
+                    DIR_WRITE();
+                    int64_t new_version = version;
+                    int64_t latency;
+                    if (home < 0 || home == node) {
+                        latency = local_miss_cost + extra;
+                    } else {
+                        msg_delta[write_i] += 1;
+                        msg_delta[data_i] += 1;
+                        mut[MUT_BYTES] += sz_write_pair;
+                        NIC_ROUND_TRIP();
+                        latency = remote_miss_cost + contention + extra;
+                    }
+                    /* inlined touch_write (the probed line holds `block`) */
+                    cd_p[idx] = 1;
+                    if (new_version > cv_p[idx])
+                        cv_p[idx] = new_version;
+                    pp[PP_ACC_CONT * P + p] += wait;
+                    pp[PP_ACC_UPGRADE * P + p] += latency;
+                    pp[PP_CLOCK * P + p] = clock + wait + latency;
+                    continue;
                 }
+                /* stale copy: drop it so the fill below refreshes it */
+                cb_p[idx] = -1;
+                cd_p[idx] = 0;
+                pp[PP_INVAL * P + p] += 1;
             }
-            pt_modes[node][page] = (uint8_t)mode_c;
-        }
 
-        if (mode_c == local_home_code || home == node) {
-            /* local fill (base body + MigRep home-side counter bump) */
-            nn[NN_NS_LOCAL * N + node] += 1;
-            if (is_write) {
-                DIR_WRITE();
-                service = local_miss_cost + extra;
+            /* miss path (absent line or stale drop) */
+            pp[PP_MISS * P + p] += 1;
+            int64_t page = block / bpp;
+            int64_t start, wait;
+            if (bus_enabled) {
+                int64_t free_ = nn[NN_BUS_FREE * N + node];
+                start = clock >= free_ ? clock : free_;
+                nn[NN_BUS_WAIT * N + node] += start - clock;
+                nn[NN_BUS_FREE * N + node] = start + bus_occ;
             } else {
-                dir_tracked[block] = 1;
-                dir_sharers[block] |= (int64_t)1 << node;
-                version = dir_versions[block];
-                service = local_miss_cost;
+                start = clock;
             }
-            if (has_migrep && home == node)
-                CTR_BUMP();
-            /* inlined fill + eviction notification (local tail) */
-            int64_t old = cb_p[idx];
-            cb_p[idx] = block;
-            cv_p[idx] = version;
-            if (old >= 0 && old != block) {
-                pp[PP_EVICT * P + p] += 1;
-                cd_p[idx] = (uint8_t)is_write;
-                L1_EVICT_NOTE();
-            } else {
-                cd_p[idx] = (uint8_t)is_write;
-            }
-            pp[PP_ACC_CONT * P + p] += wait;
-            pp[PP_ACC_LOCAL * P + p] += service;
-            pp[PP_ACC_FAULT * P + p] += fault;
-            pp[PP_CLOCK * P + p] = clock + wait + service + fault;
-            continue;
-        }
+            nn[NN_BUS_TXN * N + node] += 1;
+            wait = start - clock;
 
-        /* ---- remote lane ---- */
-        if (has_migrep) {
-            if (is_write && vm_replicated[page])
-                BAIL(RC_BAIL_COLLAPSE);   /* collapse via the protocol */
-            if (!is_write && mode_c == replica_code) {
-                /* read served by a local replica */
+            int64_t home = vm_home[page];
+            int64_t mode_c = home >= 0 ? (int64_t)pt_modes[node][page] : 0;
+            int64_t fault = 0;
+            if (mode_c == 0) {
+                /* mapping fault (inlined ensure_mapped).  First touches under
+                 * a configured placement policy bail — only Python knows the
+                 * policy; first-touch placement itself and remap faults on
+                 * already-placed pages run right here. */
+                if (home < 0 && !first_touch_ok)
+                    BAIL(RC_BAIL_FAULT);
+                if (home < 0) {
+                    /* first touch: home the page at the requester */
+                    home = node;
+                    vm_home[page] = node;
+                    vm_first[page] = node;
+                    mut[MUT_FIRST_TOUCHES] += 1;
+                }
+                fault = soft_trap;
+                nn[NN_MAPFAULT * N + node] += 1;
+                pt_faults[node][page] += 1;
+                pt_tracked[node][page] = 1;
+                if (home == node) {
+                    mode_c = local_home_code;
+                } else {
+                    /* map request/reply, both one-way messages sent at t=0 */
+                    mode_c = ccnuma_remote_code;
+                    msg_delta[map_req_i] += 1;
+                    msg_delta[map_reply_i] += 1;
+                    mut[MUT_BYTES] += sz_map_pair;
+                    int64_t occ2 = nic_occ + nic_occ;
+                    if (!net_enabled) {
+                        nn[NN_NIC_MSGS * N + node] += 2;
+                        nn[NN_NIC_MSGS * N + home] += 2;
+                        nn[NN_NIC_BUSY * N + node] += occ2;
+                        nn[NN_NIC_BUSY * N + home] += occ2;
+                    } else {
+                        int64_t free_, s1, t, s2, s3, t3, s4;
+                        free_ = nn[NN_NIC_FREE * N + node];
+                        s1 = 0 >= free_ ? 0 : free_;
+                        nn[NN_NIC_WAIT * N + node] += s1;
+                        nn[NN_NIC_FREE * N + node] = s1 + nic_occ;
+                        t = s1 + nic_occ + net_latency;
+                        free_ = nn[NN_NIC_FREE * N + home];
+                        s2 = t >= free_ ? t : free_;
+                        nn[NN_NIC_WAIT * N + home] += s2 - t;
+                        nn[NN_NIC_FREE * N + home] = s2 + nic_occ;
+                        free_ = nn[NN_NIC_FREE * N + home];
+                        s3 = 0 >= free_ ? 0 : free_;
+                        nn[NN_NIC_WAIT * N + home] += s3;
+                        nn[NN_NIC_FREE * N + home] = s3 + nic_occ;
+                        t3 = s3 + nic_occ + net_latency;
+                        free_ = nn[NN_NIC_FREE * N + node];
+                        s4 = t3 >= free_ ? t3 : free_;
+                        nn[NN_NIC_WAIT * N + node] += s4 - t3;
+                        nn[NN_NIC_FREE * N + node] = s4 + nic_occ;
+                        nn[NN_NIC_MSGS * N + node] += 2;
+                        nn[NN_NIC_MSGS * N + home] += 2;
+                        nn[NN_NIC_BUSY * N + node] += occ2;
+                        nn[NN_NIC_BUSY * N + home] += occ2;
+                    }
+                }
+                pt_modes[node][page] = (uint8_t)mode_c;
+            }
+
+            if (mode_c == local_home_code || home == node) {
+                /* local fill (base body + MigRep home-side counter bump) */
                 nn[NN_NS_LOCAL * N + node] += 1;
-                dir_tracked[block] = 1;
-                dir_sharers[block] |= (int64_t)1 << node;
-                version = dir_versions[block];
-                service = local_miss_cost;
+                if (is_write) {
+                    DIR_WRITE();
+                    service = local_miss_cost + extra;
+                } else {
+                    dir_tracked[block] = 1;
+                    dir_sharers[block] |= (int64_t)1 << node;
+                    version = dir_versions[block];
+                    service = local_miss_cost;
+                }
+                if (has_migrep && home == node)
+                    CTR_BUMP();
+                /* inlined fill + eviction notification (local tail) */
                 int64_t old = cb_p[idx];
+                cb_p[idx] = block;
+                cv_p[idx] = version;
                 if (old >= 0 && old != block) {
                     pp[PP_EVICT * P + p] += 1;
-                    cb_p[idx] = block;
-                    cv_p[idx] = version;
                     cd_p[idx] = (uint8_t)is_write;
                     L1_EVICT_NOTE();
                 } else {
-                    cb_p[idx] = block;
-                    cv_p[idx] = version;
                     cd_p[idx] = (uint8_t)is_write;
                 }
                 pp[PP_ACC_CONT * P + p] += wait;
@@ -718,384 +710,430 @@ int64_t repro_kernel_walk(
                 pp[PP_CLOCK * P + p] = clock + wait + service + fault;
                 continue;
             }
-        }
 
-        /* ---- page-cache probe lane ---- */
-        if (has_pagecache) {
-            if (pc_res[node][page]) {
-                /* transcription of RNUMAProtocol._scoma_fetch on the
-                 * flat page-cache arrays (block tags live at the global
-                 * block index); residency changes only by relocation
-                 * and eviction */
-                pc_clock[node][0] += 1;
-                pc_stamp[node][page] = pc_clock[node][0];
-                version = dir_versions[block];
-                int64_t* pcv_n = pc_version[node];
-                uint8_t* pcd_n = pc_dirty[node];
-                int64_t stored = pcv_n[block];
-                int64_t pc_hit = 0;
-                if (stored >= 0) {
-                    if (stored >= version) {
-                        pc_hit = 1;
+            /* ---- remote lane ---- */
+            if (has_migrep) {
+                if (is_write && vm_replicated[page])
+                    BAIL(RC_BAIL_COLLAPSE);   /* collapse via the protocol */
+                if (!is_write && mode_c == replica_code) {
+                    /* read served by a local replica */
+                    nn[NN_NS_LOCAL * N + node] += 1;
+                    dir_tracked[block] = 1;
+                    dir_sharers[block] |= (int64_t)1 << node;
+                    version = dir_versions[block];
+                    service = local_miss_cost;
+                    int64_t old = cb_p[idx];
+                    if (old >= 0 && old != block) {
+                        pp[PP_EVICT * P + p] += 1;
+                        cb_p[idx] = block;
+                        cv_p[idx] = version;
+                        cd_p[idx] = (uint8_t)is_write;
+                        L1_EVICT_NOTE();
                     } else {
-                        /* stale block: invalidate and refetch below */
-                        pcv_n[block] = -1;
-                        pc_nvalid[node][page] -= 1;
-                        if (pcd_n[block]) {
-                            pcd_n[block] = 0;
-                            pc_ndirty[node][page] -= 1;
-                        }
-                        nn[NN_PCS_INVAL * N + node] += 1;
+                        cb_p[idx] = block;
+                        cv_p[idx] = version;
+                        cd_p[idx] = (uint8_t)is_write;
                     }
+                    pp[PP_ACC_CONT * P + p] += wait;
+                    pp[PP_ACC_LOCAL * P + p] += service;
+                    pp[PP_ACC_FAULT * P + p] += fault;
+                    pp[PP_CLOCK * P + p] = clock + wait + service + fault;
+                    continue;
                 }
-                int64_t remote;
-                if (pc_hit) {
-                    nn[NN_PCS_HITS * N + node] += 1;
-                    nn[NN_NS_PCHITS * N + node] += 1;
-                    remote = 0;
-                    if (is_write) {
-                        DIR_WRITE();
-                        /* inlined PageCache.write_block (tag is valid) */
-                        if (version > stored)
-                            pcv_n[block] = version;
-                        if (!pcd_n[block]) {
+            }
+
+            /* ---- page-cache probe lane ---- */
+            if (has_pagecache) {
+                if (pc_res[node][page]) {
+                    /* transcription of RNUMAProtocol._scoma_fetch on the
+                     * flat page-cache arrays (block tags live at the global
+                     * block index); residency changes only by relocation
+                     * and eviction */
+                    pc_clock[node][0] += 1;
+                    pc_stamp[node][page] = pc_clock[node][0];
+                    version = dir_versions[block];
+                    int64_t* pcv_n = pc_version[node];
+                    uint8_t* pcd_n = pc_dirty[node];
+                    int64_t stored = pcv_n[block];
+                    int64_t pc_hit = 0;
+                    if (stored >= 0) {
+                        if (stored >= version) {
+                            pc_hit = 1;
+                        } else {
+                            /* stale block: invalidate and refetch below */
+                            pcv_n[block] = -1;
+                            pc_nvalid[node][page] -= 1;
+                            if (pcd_n[block]) {
+                                pcd_n[block] = 0;
+                                pc_ndirty[node][page] -= 1;
+                            }
+                            nn[NN_PCS_INVAL * N + node] += 1;
+                        }
+                    }
+                    int64_t remote;
+                    if (pc_hit) {
+                        nn[NN_PCS_HITS * N + node] += 1;
+                        nn[NN_NS_PCHITS * N + node] += 1;
+                        remote = 0;
+                        if (is_write) {
+                            DIR_WRITE();
+                            /* inlined PageCache.write_block (tag is valid) */
+                            if (version > stored)
+                                pcv_n[block] = version;
+                            if (!pcd_n[block]) {
+                                pcd_n[block] = 1;
+                                pc_ndirty[node][page] += 1;
+                            }
+                            service = local_miss_cost + extra;
+                        } else {
+                            service = local_miss_cost;
+                        }
+                    } else {
+                        nn[NN_PCS_MISSES * N + node] += 1;
+                        remote = 1;
+                        /* inlined _remote_fill: classification, traffic,
+                         * NIC contention and the directory fill */
+                        int64_t reason = departed[node][block];
+                        if (reason)
+                            departed[node][block] = 0;
+                        nn[NN_NS_REMOTE * N + node] += 1;
+                        nn[(NN_NS_CAUSE0 + reason) * N + node] += 1;
+                        if (is_write) {
+                            msg_delta[write_i] += 1;
+                            msg_delta[data_i] += 1;
+                            mut[MUT_BYTES] += sz_write_pair;
+                        } else {
+                            msg_delta[read_i] += 1;
+                            msg_delta[data_i] += 1;
+                            mut[MUT_BYTES] += sz_read_pair;
+                        }
+                        NIC_ROUND_TRIP();
+                        if (is_write) {
+                            DIR_WRITE();
+                        } else {
+                            dir_tracked[block] = 1;
+                            dir_sharers[block] |= (int64_t)1 << node;
+                            version = dir_versions[block];
+                            extra = 0;
+                        }
+                        service = remote_miss_cost + contention + extra;
+                        /* inlined PageCache.fill_block */
+                        if (pcv_n[block] < 0)
+                            pc_nvalid[node][page] += 1;
+                        pcv_n[block] = version;
+                        if (is_write && !pcd_n[block]) {
                             pcd_n[block] = 1;
                             pc_ndirty[node][page] += 1;
                         }
-                        service = local_miss_cost + extra;
+                        pc_fills[node][page] += 1;
+                        nn[NN_PCS_FILLS * N + node] += 1;
+                        /* requester-side R-NUMA miss total; the hybrid also
+                         * bumps the home-side MigRep counters (its policy
+                         * evaluation returns NONE for resident pages) */
+                        pg_totals[page] += 1;
+                        if (has_migrep)
+                            CTR_BUMP();
+                    }
+                    /* generic tail (page-cache lane copy) */
+                    int64_t old = cb_p[idx];
+                    if (old >= 0 && old != block) {
+                        pp[PP_EVICT * P + p] += 1;
+                        cb_p[idx] = block;
+                        cv_p[idx] = version;
+                        cd_p[idx] = (uint8_t)is_write;
+                        L1_EVICT_NOTE();
                     } else {
-                        service = local_miss_cost;
+                        cb_p[idx] = block;
+                        cv_p[idx] = version;
+                        cd_p[idx] = (uint8_t)is_write;
                     }
-                } else {
-                    nn[NN_PCS_MISSES * N + node] += 1;
-                    remote = 1;
-                    /* inlined _remote_fill: classification, traffic,
-                     * NIC contention and the directory fill */
-                    int64_t reason = departed[node][block];
-                    if (reason)
-                        departed[node][block] = 0;
-                    nn[NN_NS_REMOTE * N + node] += 1;
-                    nn[(NN_NS_CAUSE0 + reason) * N + node] += 1;
-                    if (is_write) {
-                        msg_delta[write_i] += 1;
-                        msg_delta[data_i] += 1;
-                        mut[MUT_BYTES] += sz_write_pair;
-                    } else {
-                        msg_delta[read_i] += 1;
-                        msg_delta[data_i] += 1;
-                        mut[MUT_BYTES] += sz_read_pair;
-                    }
-                    NIC_ROUND_TRIP();
-                    if (is_write) {
-                        DIR_WRITE();
-                    } else {
-                        dir_tracked[block] = 1;
-                        dir_sharers[block] |= (int64_t)1 << node;
-                        version = dir_versions[block];
-                        extra = 0;
-                    }
-                    service = remote_miss_cost + contention + extra;
-                    /* inlined PageCache.fill_block */
-                    if (pcv_n[block] < 0)
-                        pc_nvalid[node][page] += 1;
-                    pcv_n[block] = version;
-                    if (is_write && !pcd_n[block]) {
-                        pcd_n[block] = 1;
-                        pc_ndirty[node][page] += 1;
-                    }
-                    pc_fills[node][page] += 1;
-                    nn[NN_PCS_FILLS * N + node] += 1;
-                    /* requester-side R-NUMA miss total; the hybrid also
-                     * bumps the home-side MigRep counters (its policy
-                     * evaluation returns NONE for resident pages) */
-                    pg_totals[page] += 1;
-                    if (has_migrep)
-                        CTR_BUMP();
+                    pp[PP_ACC_CONT * P + p] += wait;
+                    if (remote)
+                        pp[PP_ACC_REMOTE * P + p] += service;
+                    else
+                        pp[PP_ACC_LOCAL * P + p] += service;
+                    pp[PP_ACC_FAULT * P + p] += fault;
+                    pp[PP_CLOCK * P + p] = clock + wait + service + fault;
+                    continue;
                 }
-                /* generic tail (page-cache lane copy) */
-                int64_t old = cb_p[idx];
+                if (scoma_alloc) {
+                    /* S-COMA allocates a local frame on the first remote
+                     * miss; allocation and service both live in Python —
+                     * bail before any accounting so the driver can run
+                     * _service_remote_page */
+                    BAIL(RC_BAIL_PAGECACHE);
+                }
+            }
+
+            /* inlined CC-NUMA block-cache / remote-fetch lane */
+            version = dir_versions[block];
+            int64_t bidx = block % bc_cap;
+            int64_t* bb = bc_blocks[node];
+            int64_t* bv = bc_versions[node];
+            uint8_t* bd = bc_dirty[node];
+            int64_t hit = 0;
+            if (bb[bidx] == block) {
+                if (bv[bidx] >= version) {
+                    hit = 1;
+                } else {
+                    bb[bidx] = -1;
+                    bd[bidx] = 0;
+                    nn[NN_BCS_INVAL * N + node] += 1;
+                }
+            }
+            int64_t remote, pageop = 0;
+            if (hit) {
+                nn[NN_BCS_HITS * N + node] += 1;
+                nn[NN_NS_BCHITS * N + node] += 1;
+                remote = 0;
+                if (is_write) {
+                    DIR_WRITE();
+                    if (version > bv[bidx])
+                        bv[bidx] = version;
+                    bd[bidx] = 1;
+                    service = local_miss_cost + extra + bc_penalty;
+                } else {
+                    service = local_miss_cost + bc_penalty;
+                }
+            } else {
+                nn[NN_BCS_MISSES * N + node] += 1;
+                remote = 1;
+                /* miss classification (reason doubles as counter index) */
+                int64_t reason = departed[node][block];
+                if (reason)
+                    departed[node][block] = 0;
+                nn[NN_NS_REMOTE * N + node] += 1;
+                nn[(NN_NS_CAUSE0 + reason) * N + node] += 1;
+                /* request/reply traffic + NIC contention */
+                if (is_write) {
+                    msg_delta[write_i] += 1;
+                    msg_delta[data_i] += 1;
+                    mut[MUT_BYTES] += sz_write_pair;
+                } else {
+                    msg_delta[read_i] += 1;
+                    msg_delta[data_i] += 1;
+                    mut[MUT_BYTES] += sz_read_pair;
+                }
+                NIC_ROUND_TRIP();
+                /* directory side of the fill */
+                if (is_write) {
+                    DIR_WRITE();
+                } else {
+                    dir_tracked[block] = 1;
+                    dir_sharers[block] |= (int64_t)1 << node;
+                    version = dir_versions[block];
+                    extra = 0;
+                }
+                service = remote_miss_cost + contention + extra + bc_penalty;
+                /* inlined BlockCache.fill */
+                int64_t old = bb[bidx];
+                int64_t old_dirty = bd[bidx];
+                bb[bidx] = block;
+                bv[bidx] = version;
+                bd[bidx] = (uint8_t)is_write;
                 if (old >= 0 && old != block) {
-                    pp[PP_EVICT * P + p] += 1;
-                    cb_p[idx] = block;
-                    cv_p[idx] = version;
-                    cd_p[idx] = (uint8_t)is_write;
-                    L1_EVICT_NOTE();
-                } else {
-                    cb_p[idx] = block;
-                    cv_p[idx] = version;
-                    cd_p[idx] = (uint8_t)is_write;
-                }
-                pp[PP_ACC_CONT * P + p] += wait;
-                if (remote)
-                    pp[PP_ACC_REMOTE * P + p] += service;
-                else
-                    pp[PP_ACC_LOCAL * P + p] += service;
-                pp[PP_ACC_FAULT * P + p] += fault;
-                pp[PP_CLOCK * P + p] = clock + wait + service + fault;
-                continue;
-            }
-            if (scoma_alloc) {
-                /* S-COMA allocates a local frame on the first remote
-                 * miss; allocation and service both live in Python —
-                 * bail before any accounting so the driver can run
-                 * _service_remote_page */
-                BAIL(RC_BAIL_PAGECACHE);
-            }
-        }
-
-        /* inlined CC-NUMA block-cache / remote-fetch lane */
-        version = dir_versions[block];
-        int64_t bidx = block % bc_cap;
-        int64_t* bb = bc_blocks[node];
-        int64_t* bv = bc_versions[node];
-        uint8_t* bd = bc_dirty[node];
-        int64_t hit = 0;
-        if (bb[bidx] == block) {
-            if (bv[bidx] >= version) {
-                hit = 1;
-            } else {
-                bb[bidx] = -1;
-                bd[bidx] = 0;
-                nn[NN_BCS_INVAL * N + node] += 1;
-            }
-        }
-        int64_t remote, pageop = 0;
-        if (hit) {
-            nn[NN_BCS_HITS * N + node] += 1;
-            nn[NN_NS_BCHITS * N + node] += 1;
-            remote = 0;
-            if (is_write) {
-                DIR_WRITE();
-                if (version > bv[bidx])
-                    bv[bidx] = version;
-                bd[bidx] = 1;
-                service = local_miss_cost + extra + bc_penalty;
-            } else {
-                service = local_miss_cost + bc_penalty;
-            }
-        } else {
-            nn[NN_BCS_MISSES * N + node] += 1;
-            remote = 1;
-            /* miss classification (reason doubles as counter index) */
-            int64_t reason = departed[node][block];
-            if (reason)
-                departed[node][block] = 0;
-            nn[NN_NS_REMOTE * N + node] += 1;
-            nn[(NN_NS_CAUSE0 + reason) * N + node] += 1;
-            /* request/reply traffic + NIC contention */
-            if (is_write) {
-                msg_delta[write_i] += 1;
-                msg_delta[data_i] += 1;
-                mut[MUT_BYTES] += sz_write_pair;
-            } else {
-                msg_delta[read_i] += 1;
-                msg_delta[data_i] += 1;
-                mut[MUT_BYTES] += sz_read_pair;
-            }
-            NIC_ROUND_TRIP();
-            /* directory side of the fill */
-            if (is_write) {
-                DIR_WRITE();
-            } else {
-                dir_tracked[block] = 1;
-                dir_sharers[block] |= (int64_t)1 << node;
-                version = dir_versions[block];
-                extra = 0;
-            }
-            service = remote_miss_cost + contention + extra + bc_penalty;
-            /* inlined BlockCache.fill */
-            int64_t old = bb[bidx];
-            int64_t old_dirty = bd[bidx];
-            bb[bidx] = block;
-            bv[bidx] = version;
-            bd[bidx] = (uint8_t)is_write;
-            if (old >= 0 && old != block) {
-                nn[NN_BCS_EVICT * N + node] += 1;
-                departed[node][old] = (uint8_t)dep_evicted;
-                if (dir_tracked[old]) {
-                    dir_sharers[old] &= ~((int64_t)1 << node);
-                    if (dir_owner[old] == node) {
-                        dir_owner[old] = -1;
-                        mut[MUT_DIR_WB] += 1;
-                    }
-                }
-                if (old_dirty) {
-                    int64_t vpage = old / bpp;
-                    int64_t vh = vm_home[vpage];
-                    if (vh >= 0 && vh != node) {
-                        msg_delta[wb_i] += 1;
-                        mut[MUT_BYTES] += sz_wb;
-                    }
-                }
-            }
-            int64_t reloc = 0, eval_mask = 0, replicate_it = 0, migrate_it = 0;
-            if (has_rnuma) {
-                /* requester-side R-NUMA accounting: the per-page miss
-                 * total always, the refetch counter only when this fetch
-                 * re-acquired a block lost to capacity replacement */
-                pg_totals[page] += 1;
-                if (reason == dep_evicted) {
-                    int64_t* rfn = rf_counts[node];
-                    int64_t rfc = rfn[page] + 1;
-                    rfn[page] = rfc;
-                    nn[NN_RF_TOTAL * N + node] += 1;
-                    const int64_t gated = rn_delay != 0
-                                          && pg_totals[page] < rn_delay;
-                    if (rn_static) {
-                        if (!gated && rfc > rn_threshold)
-                            reloc = 1;
-                    } else if (rn_hyst) {
-                        /* inlined HysteresisRelocationPolicy.should_relocate
-                         * on the node's dense score column: a fired score
-                         * is zeroed, which reads as a never-scored page */
-                        double score = rn_scores[node][page] * rn_hy_decay
-                                       + 1.0;
-                        if (!gated && score > rn_hy_threshold) {
-                            score = 0.0;
-                            reloc = 1;
+                    nn[NN_BCS_EVICT * N + node] += 1;
+                    departed[node][old] = (uint8_t)dep_evicted;
+                    if (dir_tracked[old]) {
+                        dir_sharers[old] &= ~((int64_t)1 << node);
+                        if (dir_owner[old] == node) {
+                            dir_owner[old] = -1;
+                            mut[MUT_DIR_WB] += 1;
                         }
-                        rn_scores[node][page] = score;
-                    } else {
-                        eval_mask = 1;
+                    }
+                    if (old_dirty) {
+                        int64_t vpage = old / bpp;
+                        int64_t vh = vm_home[vpage];
+                        if (vh >= 0 && vh != node) {
+                            msg_delta[wb_i] += 1;
+                            mut[MUT_BYTES] += sz_wb;
+                        }
                     }
                 }
-            }
-            if (has_migrep) {
-                /* home-side counter bump + policy decision */
-                CTR_BUMP();
-                if (!reloc) {
-                    if (mr_static && !eval_mask) {
-                        /* a stateless rule lowered to integer thresholds,
-                         * behind the cost model's evidence gate */
-                        int64_t cbase = page * N;
-                        if (((vm_replica_mask[page] >> node) & 1) == 0
-                                && (mr_min_samples == 0
-                                    || page_misses(ctr_read, ctr_write, cbase,
-                                                   N) >= mr_min_samples)) {
-                            if (mr_replication) {
-                                int64_t remote_writes = -ctr_write[cbase + home];
-                                for (int64_t nx = 0; nx < N; nx++)
-                                    remote_writes += ctr_write[cbase + nx];
-                                if (remote_writes == 0
-                                        && ctr_read[cbase + node]
-                                           > mr_rep_threshold)
-                                    replicate_it = 1;
+                int64_t reloc = 0, eval_mask = 0, replicate_it = 0, migrate_it = 0;
+                if (has_rnuma) {
+                    /* requester-side R-NUMA accounting: the per-page miss
+                     * total always, the refetch counter only when this fetch
+                     * re-acquired a block lost to capacity replacement */
+                    pg_totals[page] += 1;
+                    if (reason == dep_evicted) {
+                        int64_t* rfn = rf_counts[node];
+                        int64_t rfc = rfn[page] + 1;
+                        rfn[page] = rfc;
+                        nn[NN_RF_TOTAL * N + node] += 1;
+                        const int64_t gated = rn_delay != 0
+                                              && pg_totals[page] < rn_delay;
+                        if (rn_static) {
+                            if (!gated && rfc > rn_threshold)
+                                reloc = 1;
+                        } else if (rn_hyst) {
+                            /* inlined HysteresisRelocationPolicy.should_relocate
+                             * on the node's dense score column: a fired score
+                             * is zeroed, which reads as a never-scored page */
+                            double score = rn_scores[node][page] * rn_hy_decay
+                                           + 1.0;
+                            if (!gated && score > rn_hy_threshold) {
+                                score = 0.0;
+                                reloc = 1;
                             }
-                            if (!replicate_it && mr_migration) {
-                                int64_t req_m = ctr_read[cbase + node]
-                                                + ctr_write[cbase + node];
-                                int64_t home_m = ctr_read[cbase + home]
-                                                 + ctr_write[cbase + home];
-                                if (req_m - home_m > mr_mig_threshold)
-                                    migrate_it = 1;
-                            }
+                            rn_scores[node][page] = score;
+                        } else {
+                            eval_mask = 1;
                         }
-                    } else if (mr_hyst && !eval_mask) {
-                        /* inlined HysteresisMigRepPolicy.evaluate on the
-                         * shared dense score rows (requester != home on
-                         * this path; zero rows read identically to rows
-                         * the Python side has never touched) */
-                        if (((vm_replica_mask[page] >> node) & 1) == 0) {
+                    }
+                }
+                if (has_migrep) {
+                    /* home-side counter bump + policy decision */
+                    CTR_BUMP();
+                    if (!reloc) {
+                        if (mr_static && !eval_mask) {
+                            /* a stateless rule lowered to integer thresholds,
+                             * behind the cost model's evidence gate */
                             int64_t cbase = page * N;
-                            for (int64_t nx = 0; nx < N; nx++)
-                                hy_scores[cbase + nx] *= hy_decay;
-                            hy_scores[cbase + node] += 1.0;
-                            int64_t home_total = ctr_read[cbase + home]
-                                                 + ctr_write[cbase + home];
-                            int64_t hdelta = home_total - hy_seen[page];
-                            if (hdelta != 0) {
-                                if (hdelta < 0)
-                                    hy_scores[cbase + home] += (double)home_total;
-                                else
-                                    hy_scores[cbase + home] += (double)hdelta;
-                                hy_seen[page] = home_total;
+                            if (((vm_replica_mask[page] >> node) & 1) == 0
+                                    && (mr_min_samples == 0
+                                        || page_misses(ctr_read, ctr_write, cbase,
+                                                       N) >= mr_min_samples)) {
+                                if (mr_replication) {
+                                    int64_t remote_writes = -ctr_write[cbase + home];
+                                    for (int64_t nx = 0; nx < N; nx++)
+                                        remote_writes += ctr_write[cbase + nx];
+                                    if (remote_writes == 0
+                                            && ctr_read[cbase + node]
+                                               > mr_rep_threshold)
+                                        replicate_it = 1;
+                                }
+                                if (!replicate_it && mr_migration) {
+                                    int64_t req_m = ctr_read[cbase + node]
+                                                    + ctr_write[cbase + node];
+                                    int64_t home_m = ctr_read[cbase + home]
+                                                     + ctr_write[cbase + home];
+                                    if (req_m - home_m > mr_mig_threshold)
+                                        migrate_it = 1;
+                                }
                             }
-                            if (mr_replication) {
-                                int64_t remote_writes = -ctr_write[cbase + home];
+                        } else if (mr_hyst && !eval_mask) {
+                            /* inlined HysteresisMigRepPolicy.evaluate on the
+                             * shared dense score rows (requester != home on
+                             * this path; zero rows read identically to rows
+                             * the Python side has never touched) */
+                            if (((vm_replica_mask[page] >> node) & 1) == 0) {
+                                int64_t cbase = page * N;
                                 for (int64_t nx = 0; nx < N; nx++)
-                                    remote_writes += ctr_write[cbase + nx];
-                                if (remote_writes == 0
-                                        && hy_scores[cbase + node] > hy_threshold)
-                                    replicate_it = 1;
+                                    hy_scores[cbase + nx] *= hy_decay;
+                                hy_scores[cbase + node] += 1.0;
+                                int64_t home_total = ctr_read[cbase + home]
+                                                     + ctr_write[cbase + home];
+                                int64_t hdelta = home_total - hy_seen[page];
+                                if (hdelta != 0) {
+                                    if (hdelta < 0)
+                                        hy_scores[cbase + home] += (double)home_total;
+                                    else
+                                        hy_scores[cbase + home] += (double)hdelta;
+                                    hy_seen[page] = home_total;
+                                }
+                                if (mr_replication) {
+                                    int64_t remote_writes = -ctr_write[cbase + home];
+                                    for (int64_t nx = 0; nx < N; nx++)
+                                        remote_writes += ctr_write[cbase + nx];
+                                    if (remote_writes == 0
+                                            && hy_scores[cbase + node] > hy_threshold)
+                                        replicate_it = 1;
+                                }
+                                if (!replicate_it && mr_migration) {
+                                    if (hy_scores[cbase + node]
+                                            - hy_scores[cbase + home] > hy_threshold)
+                                        migrate_it = 1;
+                                }
+                                if (replicate_it || migrate_it) {
+                                    /* the policy forgets the page before the
+                                     * fired decision runs */
+                                    for (int64_t nx = 0; nx < N; nx++)
+                                        hy_scores[cbase + nx] = 0.0;
+                                    hy_seen[page] = 0;
+                                }
                             }
-                            if (!replicate_it && mr_migration) {
-                                if (hy_scores[cbase + node]
-                                        - hy_scores[cbase + home] > hy_threshold)
-                                    migrate_it = 1;
-                            }
-                            if (replicate_it || migrate_it) {
-                                /* the policy forgets the page before the
-                                 * fired decision runs */
-                                for (int64_t nx = 0; nx < N; nx++)
-                                    hy_scores[cbase + nx] = 0.0;
-                                hy_seen[page] = 0;
-                            }
+                        } else if (hybrid
+                                   || ((vm_replica_mask[page] >> node) & 1) == 0) {
+                            /* a MigRep policy the walk does not know — or a
+                             * known one in the hybrid with such an R-NUMA
+                             * evaluation pending (a relocation would change
+                             * its answer): defer to the Python evaluation */
+                            eval_mask |= 2;
                         }
-                    } else if (hybrid
-                               || ((vm_replica_mask[page] >> node) & 1) == 0) {
-                        /* a MigRep policy the walk does not know — or a
-                         * known one in the hybrid with such an R-NUMA
-                         * evaluation pending (a relocation would change
-                         * its answer): defer to the Python evaluation */
-                        eval_mask |= 2;
                     }
                 }
-            }
-            /* a fired decision runs its page operation after the fill and
-             * before the L1 fill below; the two that need Python bail */
-            if (reloc) {
-                if (pc_cap[node] >= 0 && pc_count[node][0] >= pc_cap[node]) {
-                    /* full page cache: the eviction runs in Python */
+                /* a fired decision runs its page operation after the fill and
+                 * before the L1 fill below; the two that need Python bail */
+                if (reloc) {
+                    if (pc_cap[node] >= 0 && pc_count[node][0] >= pc_cap[node]) {
+                        /* full page cache: the eviction runs in Python */
+                        out[OUT_SERVICE] = service;
+                        out[OUT_VERSION] = version;
+                        BAIL(RC_BAIL_RELOCATE);
+                    }
+                    pageop = relocate(&ops, node, page);
+                } else if (replicate_it) {
+                    pageop = replicate(&ops, page, node, start);
+                } else if (migrate_it) {
+                    if (vm_replicated[page]) {
+                        /* vm.migrate refuses a replicated page: let it raise */
+                        out[OUT_SERVICE] = service;
+                        out[OUT_VERSION] = version;
+                        BAIL(RC_BAIL_MIGRATE);
+                    }
+                    pageop = migrate(&ops, page, node, start);
+                }
+                if (eval_mask) {
+                    /* unknown-policy evaluation point: the fill is accounted;
+                     * Python evaluates the decisions named by the mask
+                     * (1 = R-NUMA, 2 = MigRep) */
                     out[OUT_SERVICE] = service;
                     out[OUT_VERSION] = version;
-                    BAIL(RC_BAIL_RELOCATE);
+                    out[OUT_EVAL] = eval_mask;
+                    BAIL(RC_BAIL_DECIDE);
                 }
-                pageop = relocate(&ops, node, page);
-            } else if (replicate_it) {
-                pageop = replicate(&ops, page, node, start);
-            } else if (migrate_it) {
-                if (vm_replicated[page]) {
-                    /* vm.migrate refuses a replicated page: let it raise */
-                    out[OUT_SERVICE] = service;
-                    out[OUT_VERSION] = version;
-                    BAIL(RC_BAIL_MIGRATE);
-                }
-                pageop = migrate(&ops, page, node, start);
             }
-            if (eval_mask) {
-                /* unknown-policy evaluation point: the fill is accounted;
-                 * Python evaluates the decisions named by the mask
-                 * (1 = R-NUMA, 2 = MigRep) */
-                out[OUT_SERVICE] = service;
-                out[OUT_VERSION] = version;
-                out[OUT_EVAL] = eval_mask;
-                BAIL(RC_BAIL_DECIDE);
+
+            /* generic tail: L1 fill + eviction notification */
+            int64_t old = cb_p[idx];
+            if (old >= 0 && old != block) {
+                pp[PP_EVICT * P + p] += 1;
+                cb_p[idx] = block;
+                cv_p[idx] = version;
+                cd_p[idx] = (uint8_t)is_write;
+                L1_EVICT_NOTE();
+            } else {
+                cb_p[idx] = block;
+                cv_p[idx] = version;
+                cd_p[idx] = (uint8_t)is_write;
             }
+            pp[PP_ACC_CONT * P + p] += wait;
+            if (remote)
+                pp[PP_ACC_REMOTE * P + p] += service;
+            else
+                pp[PP_ACC_LOCAL * P + p] += service;
+            pp[PP_ACC_PAGEOP * P + p] += pageop;
+            pp[PP_ACC_FAULT * P + p] += fault;
+            pp[PP_CLOCK * P + p] = clock + wait + service + pageop + fault;
         }
 
-        /* generic tail: L1 fill + eviction notification */
-        int64_t old = cb_p[idx];
-        if (old >= 0 && old != block) {
-            pp[PP_EVICT * P + p] += 1;
-            cb_p[idx] = block;
-            cv_p[idx] = version;
-            cd_p[idx] = (uint8_t)is_write;
-            L1_EVICT_NOTE();
-        } else {
-            cb_p[idx] = block;
-            cv_p[idx] = version;
-            cd_p[idx] = (uint8_t)is_write;
+        /* the phase barrier (TimingStats.barrier): every processor waits
+         * for the latest clock plus the barrier cost.  Processors without
+         * a stream take part through their largest clock at run start;
+         * after the first barrier none of them is ahead. */
+        int64_t target = idle_clock;
+        for (int64_t p = 0; p < P; p++)
+            if (pp[PP_CLOCK * P + p] > target)
+                target = pp[PP_CLOCK * P + p];
+        target += barrier_cost;
+        for (int64_t p = 0; p < P; p++) {
+            pp[PP_ACC_BARRIER * P + p] += target - pp[PP_CLOCK * P + p];
+            pp[PP_CLOCK * P + p] = target;
         }
-        pp[PP_ACC_CONT * P + p] += wait;
-        if (remote)
-            pp[PP_ACC_REMOTE * P + p] += service;
-        else
-            pp[PP_ACC_LOCAL * P + p] += service;
-        pp[PP_ACC_PAGEOP * P + p] += pageop;
-        pp[PP_ACC_FAULT * P + p] += fault;
-        pp[PP_CLOCK * P + p] = clock + wait + service + pageop + fault;
     }
 
-    mut[MUT_K] = k;
+    mut[MUT_PHASE] = phase;
+    mut[MUT_K] = 0;
     return RC_DONE;
 }

@@ -1,8 +1,10 @@
 """State marshalling between the simulator's stores and the kernel walk.
 
-The compiled kernel walks one phase's reference streams (see
-:func:`schedule_arrays`) against flat integer arrays.  This module
-builds those arrays — **views, not copies** — over
+The compiled kernel walks every phase's reference streams (see
+:func:`schedule_arrays`) against flat integer arrays, in one entry per
+segment of phases plus one per bail; a segment is the whole run unless
+its streams exceed :data:`repro.engine.kernel.SEGMENT_BYTES`.  This
+module builds those arrays — **views, not copies** — over
 the simulator's live buffer-backed stores (the directory columns, the
 page map, the page tables' mode bytes, the block-cache frames, the L1
 line stores and the MigRep counter columns), together with the small
@@ -17,32 +19,32 @@ Marshalling contract
   buffer, so a write on either side is immediately visible to the other.
   While the views exist the buffers are *export-locked*: any in-place
   growth would raise ``BufferError`` instead of silently leaving the
-  kernel with dangling pointers.  :meth:`KernelState.reserve_for_phase`
-  therefore pre-reserves every store past the phase's maxima (whole
-  pages, since a page operation, in the walk or in a bail, touches
-  every block of its page) *before* the views are taken.  The walk's
-  bound runner (:meth:`KernelState.bind_walk`) pins the views too, so
-  it lives on the state and :meth:`release` drops it with them before
-  the next phase's reserve.
+  kernel with dangling pointers.  :meth:`KernelState.reserve` therefore
+  pre-reserves every store past the segment's maxima (whole pages,
+  since a page operation, in the walk or in a bail, touches every block
+  of its page) *before* the views are taken, and the views stay for the
+  whole segment.  The walk's bound runner (:meth:`KernelState.bind_walk`)
+  pins the views too, so it lives on the state and :meth:`release`
+  drops it with them before the next segment's reserve.
 * **Python-object state is mirrored as deltas.**  Counters that live in
   plain Python attributes (``NodeStats`` fields, cache statistics, the
   directory's scalar counters, message counts, and what the walk's own
   page operations count: the engines' per-node lists, the fault logs,
   page-cache allocations and the VM's totals) accumulate in int64 delta
   arrays that :meth:`flush` folds into the owning objects at the end of
-  every phase.  Bail-time protocol code only ever *increments* these
+  the run.  Bail-time protocol code only ever *increments* these
   counters, and addition commutes — so the deltas can stay parked
-  across bails without any observable difference.  Everything else a
-  page operation writes (VM columns, page-table rows, page-cache
-  residency and occupancy) is a shared store, so the walk writes it in
-  place and nothing is replayed afterwards.
+  across bails and phase barriers without any observable difference.
+  Everything else a page operation writes (VM columns, page-table rows,
+  page-cache residency and occupancy) is a shared store, so the walk
+  writes it in place and nothing is replayed afterwards.
 * **Serialising resources are mirrored as absolutes.**  NIC and bus
-  ``next_free`` times are copied in at phase start
+  ``next_free`` times are copied in at run start
   (:meth:`load_absolutes`) and written back by ``flush``.  NICs are the
   one mirror bail-time protocol code *reads and advances* (network
   contention), so :meth:`sync_nics_out` writes them through before each
   bail and :meth:`load_nics` re-reads them after; buses are untouched by
-  protocol code and stay in the mirror for the whole phase.
+  protocol code and stay in the mirror for the whole run.
 
 This module is the single source of the kernel's memory layout: the
 index constants (``CON_*``, ``FCON_*``, ``PP_*``, ``NN_*``, ``MUT_*``,
@@ -78,11 +80,13 @@ from repro.mem.page_table import MODE_CODES, PageMode
 # layout constants (emitted as cwalk.c's #defines, see LAYOUT)
 # ---------------------------------------------------------------------------
 
-#: CON — immutable run/phase constants (int64).  The threshold lanes
-#: test ``count > CON_MR_REP_THRESHOLD`` / ``CON_MR_MIG_THRESHOLD`` /
-#: ``CON_RN_THRESHOLD`` (see :func:`lower_policy`).
-(CON_NUM_PROCS, CON_NUM_NODES, CON_BPP, CON_COMPUTE, CON_L1_HIT,
- CON_MAX_LEN, CON_BUS_OCC, CON_BUS_ENABLED, CON_LOCAL_MISS,
+#: CON — immutable run constants (int64).  The threshold lanes test
+#: ``count > CON_MR_REP_THRESHOLD`` / ``CON_MR_MIG_THRESHOLD`` /
+#: ``CON_RN_THRESHOLD`` (see :func:`lower_policy`).  ``CON_IDLE_CLOCK``
+#: is the largest clock at run start of the processors without a stream,
+#: which take part in every phase barrier.
+(CON_NUM_PROCS, CON_NUM_NODES, CON_BPP, CON_NUM_PHASES, CON_L1_HIT,
+ CON_IDLE_CLOCK, CON_BUS_OCC, CON_BUS_ENABLED, CON_LOCAL_MISS,
  CON_REMOTE_MISS, CON_INVAL_COST, CON_NET_ENABLED, CON_NET_LATENCY,
  CON_NIC_OCC, CON_SZ_READ_PAIR, CON_SZ_WRITE_PAIR, CON_SZ_WB,
  CON_SZ_INV_PAIR, CON_MSG_READ, CON_MSG_WRITE, CON_MSG_DATA, CON_MSG_WB,
@@ -97,8 +101,8 @@ from repro.mem.page_table import MODE_CODES, PageMode
  CON_HYBRID, CON_MR_STATIC, CON_BC_PENALTY, CON_MR_HYST, CON_MODE_SCOMA,
  CON_TLB_SHOOTDOWN, CON_COPY_PAGE, CON_MSG_FLUSH_REQ, CON_MSG_FLUSH_DONE,
  CON_MSG_PAGE_DATA, CON_SZ_FLUSH_REQ, CON_SZ_FLUSH_DONE,
- CON_SZ_PAGE_DATA) = range(65)
-CON_SIZE = 65
+ CON_SZ_PAGE_DATA, CON_BARRIER_COST) = range(66)
+CON_SIZE = 66
 
 #: FCON — float64 run constants (the int64 ``con`` array cannot carry
 #: the hysteresis policies' fractional thresholds and decay factors).
@@ -107,11 +111,12 @@ CON_SIZE = 65
 FCON_SIZE = 4
 
 #: PP — per-processor bookkeeping rows of the flat ``pp`` array
-#: (``pp[row * num_procs + p]``); ``PP_LEN`` is the stream length.
-(PP_LEN, PP_HITS, PP_UPG, PP_MISS, PP_INVAL, PP_EVICT,
+#: (``pp[row * num_procs + p]``): run totals of the L1 counts and of
+#: each stall kind (``PP_ACC_*``), the clock and the node.
+(PP_HITS, PP_UPG, PP_MISS, PP_INVAL, PP_EVICT, PP_ACC_COMPUTE,
  PP_ACC_LOCAL, PP_ACC_REMOTE, PP_ACC_UPGRADE, PP_ACC_PAGEOP, PP_ACC_FAULT,
- PP_ACC_CONT, PP_CLOCK, PP_NODE) = range(14)
-PP_ROWS = 14
+ PP_ACC_CONT, PP_ACC_BARRIER, PP_CLOCK, PP_NODE) = range(15)
+PP_ROWS = 15
 
 #: NN — per-node mirror rows of the flat ``nn`` array
 #: (``nn[row * num_nodes + n]``).  ``*_FREE`` rows are absolute times;
@@ -127,11 +132,12 @@ PP_ROWS = 14
  NN_REPLICATION_CYC, NN_MIGRATIONS, NN_MIGRATION_CYC) = range(31)
 NN_ROWS = 31
 
-#: MUT — mutable walk scalars surviving across bails within a phase;
-#: ``MUT_K`` is the interleave cursor ``i * num_procs + p``.
-(MUT_K, MUT_BYTES, MUT_DIR_INV, MUT_DIR_WB, MUT_CTR_RESETS,
- MUT_FIRST_TOUCHES) = range(6)
-MUT_SIZE = 6
+#: MUT — mutable walk scalars surviving across bails; ``MUT_PHASE`` is
+#: the phase cursor and ``MUT_K`` the interleave cursor
+#: ``i * num_procs + p`` within that phase.
+(MUT_PHASE, MUT_K, MUT_BYTES, MUT_DIR_INV, MUT_DIR_WB, MUT_CTR_RESETS,
+ MUT_FIRST_TOUCHES) = range(7)
+MUT_SIZE = 7
 
 #: OUT — the bail record the walk fills before returning.
 (OUT_KIND, OUT_P, OUT_BLOCK, OUT_PAGE, OUT_WRITE, OUT_START,
@@ -140,7 +146,7 @@ MUT_SIZE = 6
 OUT_SIZE = 14
 
 #: Walk return codes.
-RC_DONE = 0            #: phase complete
+RC_DONE = 0            #: every phase walked
 RC_BAIL_FAULT = 1      #: mapping fault — execute via ``handle_miss``
 RC_BAIL_COLLAPSE = 2   #: write to a replicated page — via ``_service_remote_page``
 RC_BAIL_MIGRATE = 3    #: fired migration of a replicated page (``vm.migrate`` raises)
@@ -233,6 +239,9 @@ def lower_policy(policy):
 def schedule_arrays(phase):
     """One phase's walk columns: ``(blocks, writes)``, one array per proc.
 
+    The driver calls it for every phase of a run and concatenates the
+    columns into the walk's phase-major tables.
+
     Zero-copy for every :class:`~repro.workloads.trace.PhaseTrace`, whose
     streams are C-contiguous int64 block ids and bool write flags: the
     blocks are the phase's own arrays and the flags are viewed as uint8,
@@ -245,12 +254,13 @@ def schedule_arrays(phase):
 
 
 class KernelState:
-    """One phase's marshalled state: store views and mirrors.
+    """One run's marshalled state: store views and mirrors.
 
-    The views are taken per phase (store buffers may have grown between
-    phases, moving the underlying memory); :meth:`release` must be
-    called before the next phase's pre-reserve so the export locks —
-    held by the views and by the bound :attr:`runner` — are dropped.
+    The views are taken once per segment of phases (the whole run,
+    unless its streams are long), after :meth:`reserve` has grown every
+    store for the segment, and they hold the stores' export locks until
+    :meth:`release` drops them together with the bound :attr:`runner`.
+    The mirrors stay for the whole run.
     """
 
     def __init__(self, machine, num_procs, caches, node_of):
@@ -274,6 +284,12 @@ class KernelState:
         con[CON_LOCAL_MISS] = costs.local_miss
         con[CON_REMOTE_MISS] = costs.remote_miss
         con[CON_INVAL_COST] = costs.invalidation_per_sharer
+        con[CON_BARRIER_COST] = costs.barrier_cost
+        # clocks are non-negative, so 0 stands in when every processor
+        # has a stream
+        con[CON_IDLE_CLOCK] = max(
+            (pt.clock for pt in machine.timing.processors[num_procs:]),
+            default=0)
         con[CON_NET_ENABLED] = int(net.enabled)
         con[CON_NET_LATENCY] = net.latency
         con[CON_NIC_OCC] = net.nic_occupancy
@@ -417,20 +433,20 @@ class KernelState:
         self.msg_delta = np.zeros(len(net.stats._counts), dtype=np.int64)
         self.out = np.zeros(OUT_SIZE, dtype=np.int64)
 
-        # store views — taken per phase (see marshal_phase) — and the
-        # backend runner bound over them (see bind_walk)
+        # store views — taken once per segment (see marshal_phase) — and
+        # the backend runner bound over them (see bind_walk)
         self.runner = None
 
-    # -- per-phase store views ----------------------------------------------
+    # -- store views ----------------------------------------------------------
 
-    def reserve_for_phase(self, max_block: int) -> None:
-        """Pre-reserve every growable store past this phase's maxima.
+    def reserve(self, max_block: int) -> None:
+        """Pre-reserve every growable store past a segment's maxima.
 
         Reservation covers *whole pages* (``(max_page + 1) * bpp``
         blocks): a page operation touches every block of its page, and
-        nothing a phase can do reaches beyond its pages — so no in-place
-        growth can happen while the views below hold the buffers'
-        export locks.
+        nothing a segment can do reaches beyond its pages — so no
+        in-place growth can happen while the views below hold the
+        buffers' export locks.
         """
         if max_block < 0:
             return
@@ -458,7 +474,7 @@ class KernelState:
                     pc.reserve(max_page + 1)
 
     def marshal_phase(self) -> None:
-        """Take the zero-copy store views for one phase's walk."""
+        """Take the zero-copy store views for a segment's walk."""
         machine = self.machine
         directory = machine.directory
         vm = machine.vm
@@ -547,18 +563,26 @@ class KernelState:
             self.pc_count = [e64] * N
         self.con[CON_DIR_CAP] = len(self.dir_sharers)
         self.con[CON_VM_LEN] = len(self.vm_home)
-        self.mut[MUT_K] = 0
 
-    def bind_walk(self, bind, columns) -> None:
-        """Bind the C walk to this phase's views as :attr:`runner`.
+    def bind_walk(self, bind, blocks, writes, lengths, compute) -> None:
+        """Bind the C walk to the views and a segment's streams as
+        :attr:`runner`.
 
         ``bind`` is :func:`repro.engine.kernel.cbuild.load_cwalk`'s
-        binder and ``columns`` the phase's :func:`schedule_arrays`
-        streams; the tuple passed is ``repro_kernel_walk``'s parameter
-        list.  The runner pins every argument (the walk holds raw
-        pointers into them), so it lives here and :meth:`release` drops
-        it together with the views.
+        binder.  ``blocks`` and ``writes`` are the phase-major tables of
+        every phase's :func:`schedule_arrays` streams (``num_phases *
+        num_procs`` arrays each), ``lengths`` the streams' lengths in the
+        same order and ``compute`` the phases' compute cycles per access;
+        the tuple passed is ``repro_kernel_walk``'s parameter list.  The
+        runner pins every argument (the walk holds raw pointers into
+        them), so it lives here and :meth:`release` drops it together
+        with the views.
         """
+        self.con[CON_NUM_PHASES] = len(compute)
+        # the cursors start at the tables' first reference
+        self.mut[MUT_PHASE] = self.mut[MUT_K] = 0
+        ph_len = np.asarray(lengths, dtype=np.int64)
+        ph_compute = np.asarray(compute, dtype=np.int64)
         self.runner = bind((
             self.con, self.fcon, self.mut, self.pp, self.nn, self.msg_delta,
             self.out,
@@ -572,7 +596,7 @@ class KernelState:
             self.departed, self.pt_modes, self.pt_tracked, self.pt_faults,
             self.pt_writable, self.pt_remaps,
             self.bc_blocks, self.bc_versions, self.bc_dirty,
-            self.cb, self.cv, self.cd, *columns,
+            self.cb, self.cv, self.cd, blocks, writes, ph_len, ph_compute,
             self.rf_counts, self.pg_totals, self.rn_scores,
             self.pc_res, self.pc_version,
             self.pc_dirty, self.pc_stamp, self.pc_clock, self.pc_nvalid,
@@ -635,8 +659,8 @@ class KernelState:
     def flush(self) -> None:
         """Fold the delta mirrors into their owners; write back absolutes.
 
-        Runs at the end of every phase.  Delta rows are zeroed as they
-        are folded; absolute rows are written through.
+        Runs once, after the run's last walk entry.  Delta rows are
+        zeroed as they are folded; absolute rows are written through.
         """
         machine = self.machine
         nn = self.nn

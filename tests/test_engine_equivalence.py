@@ -46,6 +46,7 @@ def fingerprint(machine: Machine, stats) -> dict:
         "network_messages": stats.network_messages,
         "network_bytes": stats.network_bytes,
         "barrier_count": stats.barrier_count,
+        "barriers": machine.timing.barriers,
         "stalls": {k.value: v for k, v in stats.stall_breakdown.items()},
         "messages": {k.value: v for k, v in stats.message_stats.counts.items()},
         "nodes": [{f: getattr(n, f) for f in NODE_FIELDS} for n in stats.nodes],
@@ -392,7 +393,8 @@ PROFILE_KEYS = {
     "batched": {"engine", "references", "fast", "demoted", "residual",
                 "phases", "wall_s"},
     "kernel": {"engine", "backend", "references", "fast", "demoted",
-               "residual", "phases", "bails", "bail_kinds", "wall_s"},
+               "residual", "phases", "bails", "bail_kinds", "wall_s",
+               "walk_s"},
 }
 
 
@@ -766,7 +768,9 @@ class TestKernelEngine:
                                                small_machine, monkeypatch):
         """A tracer wrapping the walk from outside keeps it compiled: a
         zero-argument loader, a binder taking one positional argument,
-        and a plain-function runner made with ``functools.wraps``."""
+        and a plain-function runner made with ``functools.wraps``.  The
+        walk is bound once per run and entered once plus once per bail,
+        however many phases the trace has."""
         import functools
 
         from repro.engine.kernel import cbuild
@@ -803,8 +807,10 @@ class TestKernelEngine:
         assert prof["engine"] == "kernel"
         assert "fallback_reason" not in prof
         assert {"references", "fast", "residual", "demoted"} <= set(prof)
-        assert calls["bind"] == len(trace.phases)
-        assert calls["run"] == len(trace.phases) + prof["bails"]
+        assert len(trace.phases) > 1
+        assert calls["bind"] == 1
+        assert calls["run"] == 1 + prof["bails"]
+        assert 0 <= prof["walk_s"] <= prof["wall_s"]
         assert fingerprint(machine, stats) == ref
 
     def test_backend_crash_falls_back_bit_identical(

@@ -10,8 +10,11 @@ pages constantly, low thresholds so static, competitive, hysteresis and
 cost-model decisions all trigger, and page operations flushing an
 infinite block cache.  A policy the walk does not know (a user
 subclass) still bails ``decide`` and matches ``legacy``.  Hypothesis
-then hunts for orderings the hand-written traces miss, and the
-store-growth shapes pin phases that must grow a store between walks.
+then hunts for orderings the hand-written traces miss; the store-growth
+shapes pin traces whose later phases reach past the stores an earlier
+phase needed, and the phase-boundary shapes pin bails on the first and
+last reference of a phase, a walk split into segments, and traces with
+no references at all.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.core.decisions import (
 )
 from repro.core.factory import SYSTEM_NAMES, build_system
 from repro.registry import register_policy
+from repro.stats.timing import StallKind
 from repro.workloads.importers import import_trace_file
 from repro.workloads.spec import SharingPattern
 from repro.workloads.trace import PhaseTrace, Trace
@@ -294,13 +298,14 @@ def streamed_rpt(tmp_path_factory):
                              block_size=64, page_size=512, phase_refs=1000)
 
 
-def _assert_engines_agree(system, trace, monkeypatch):
-    """legacy, batched and the C walk agree on ``trace`` under the harsh
-    configuration, and the kernel run really ran compiled.  ``system`` is
-    a name or a system spec.  Returns the kernel run's stats."""
+def _assert_engines_agree(system, trace, monkeypatch, cfg=None):
+    """legacy, batched and the C walk agree on ``trace`` under ``cfg``
+    (the harsh configuration by default), and the kernel run really ran
+    compiled.  ``system`` is a name or a system spec.  Returns the kernel
+    run's stats."""
     require_c_backend()
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
-    cfg = _harsh_config()
+    cfg = cfg or _harsh_config()
     spec = _spec_for(system) if isinstance(system, str) else system
     fps = {}
     for engine in ("legacy", "batched", "kernel"):
@@ -316,12 +321,14 @@ def _assert_engines_agree(system, trace, monkeypatch):
 
 
 class TestStoreGrowth:
-    """Phases that must grow a store after an earlier phase's walk.
+    """Traces whose later phases reach past the stores of earlier ones.
 
-    The walk's bound runner pins the previous phase's store views; if it
-    outlives ``KernelState.release`` the next phase's reserve cannot
-    grow a buffer (``BufferError``).  Each shape runs every stock system
-    on legacy, batched and the C walk and asserts all three agree.
+    The kernel reserves every store for the largest block of the phases
+    one walk entry covers (here the whole trace) before it takes the
+    store views it holds while walking them; a store that had to grow
+    later would raise ``BufferError`` under the views' export locks.
+    Each shape runs every stock system on legacy, batched and the C walk
+    and asserts all three agree.
     """
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
@@ -357,6 +364,120 @@ class TestStoreGrowth:
         trace = open_trace(streamed_rpt)
         assert len(trace.phases) == 4
         _assert_engines_agree(system, trace, monkeypatch)
+
+
+class TestPhaseBoundaries:
+    """The walk runs every phase of a run in one entry, barriers included.
+
+    Under round-robin placement only Python can place a page, so every
+    first touch bails ``fault``; these shapes put such bails on the first
+    and the last reference of a phase, where a re-entry must neither
+    repeat the phase's prologue nor skip its barrier.  The hand-made
+    traces have 4 streams on the harsh machine's 8 processors, so 4
+    processors without a stream wait at every barrier.
+    """
+
+    @staticmethod
+    def _round_robin():
+        return dataclasses.replace(_harsh_config(), placement="round-robin")
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_first_touches_bail_on_the_harsh_trace(self, system,
+                                                   monkeypatch):
+        cfg = self._round_robin()
+        stats = _assert_engines_agree(system, _harsh_trace(cfg),
+                                      monkeypatch, cfg=cfg)
+        assert stats.engine_profile["bail_kinds"]["fault"] == 48
+
+    @staticmethod
+    def _fresh_bounds():
+        """Each stream of each phase opens and closes on a fresh page
+        (8 blocks a page), with shared-page references between."""
+        phases = []
+        for ph in range(3):
+            streams = []
+            for p in range(4):
+                fresh = 8 * (100 + ph * 8 + p * 2)
+                middle = [(p * 7 + k * 3 + ph) % 48 for k in range(10)]
+                streams.append(([fresh, *middle, fresh + 8],
+                                [ph % 2, *(k % 3 == 0 for k in range(10)),
+                                 1]))
+            phases.append(_phase(f"ph{ph}", streams))
+        return Trace(name="fresh-bounds", num_procs=4, phases=phases)
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_phases_begin_and_end_with_a_first_touch(self, system,
+                                                     monkeypatch):
+        cfg = self._round_robin()
+        stats = _assert_engines_agree(system, self._fresh_bounds(),
+                                      monkeypatch, cfg=cfg)
+        prof = stats.engine_profile
+        assert prof["bail_kinds"]["fault"] >= 3 * 4 * 2
+        assert stats.barrier_count == 3
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_a_segment_per_phase(self, system, monkeypatch):
+        """Past ``SEGMENT_BYTES`` of streams the run is walked in
+        segments, each bound on its own: at one byte every phase is a
+        segment, and the bails on its bounds still agree."""
+        import repro.engine.kernel as kernel
+        from repro.engine.kernel.state import KernelState
+
+        binds = []
+        bind_walk = KernelState.bind_walk
+
+        def counted(self, *args):
+            binds.append(len(args[-1]))
+            return bind_walk(self, *args)
+
+        monkeypatch.setattr(kernel, "SEGMENT_BYTES", 1)
+        monkeypatch.setattr(KernelState, "bind_walk", counted)
+        cfg = self._round_robin()
+        stats = _assert_engines_agree(system, self._fresh_bounds(),
+                                      monkeypatch, cfg=cfg)
+        assert binds == [1, 1, 1]
+        assert stats.engine_profile["phases"] == stats.barrier_count == 3
+
+    @pytest.mark.parametrize("system", ["ccnuma", "migrep", "rnuma"])
+    def test_an_idle_processor_ahead_sets_the_first_barrier(self, system,
+                                                            monkeypatch):
+        """A processor without a stream that starts ahead of the streams
+        holds every processor at the first barrier until its clock."""
+        require_c_backend()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
+        cfg = _harsh_config()
+        trace = Trace(name="four-streams", num_procs=4, phases=[
+            _phase(f"ph{ph}", [([(p * 7 + k * 3 + ph) % 48
+                                 for k in range(24)],
+                                [k % 4 == p for k in range(24)])
+                               for p in range(4)])
+            for ph in range(2)])
+        fps = {}
+        for engine in ("legacy", "kernel"):
+            machine = Machine(cfg, _spec_for(system))
+            assert len(machine.processors) > trace.num_procs
+            machine.timing.processors[-1].advance(StallKind.COMPUTE, 10 ** 7)
+            stats = machine.run(trace, engine=engine)
+            assert_invariants(machine, stats)
+            fps[engine] = fingerprint(machine, stats)
+        assert stats.engine_profile["engine"] == "kernel"
+        assert min(stats.proc_finish_times) > 10 ** 7
+        assert fps["kernel"] == fps["legacy"]
+
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    @pytest.mark.parametrize("n_phases", [0, 3])
+    def test_no_references(self, system, n_phases, monkeypatch):
+        """A trace with no phases, and one whose phases are all empty:
+        the empty phases' barriers still count, and cost the barrier."""
+        trace = Trace(name="no-refs", num_procs=4,
+                      phases=[_phase(f"empty{i}", [([], [])] * 4)
+                              for i in range(n_phases)])
+        stats = _assert_engines_agree(system, trace, monkeypatch)
+        prof = stats.engine_profile
+        assert (prof["references"], prof["bails"]) == (0, 0)
+        assert stats.barrier_count == prof["phases"] == n_phases
+        assert stats.execution_time == (
+            n_phases * _harsh_config().costs.barrier_cost)
 
 
 class TestCursorShapes:

@@ -10,6 +10,8 @@ raises ``BufferError``) while the views exist.
 from __future__ import annotations
 
 import dataclasses
+import os
+import shutil
 from array import array
 from pathlib import Path
 
@@ -54,8 +56,8 @@ def kstate(machine):
 
 
 def _marshal(kstate, max_block=63):
-    """Reserve and marshal one small phase."""
-    kstate.reserve_for_phase(max_block)
+    """Reserve and marshal one small run."""
+    kstate.reserve(max_block)
     kstate.marshal_phase()
 
 
@@ -143,7 +145,12 @@ class TestExportLocks:
             return runner
 
         _marshal(kstate)
-        kstate.bind_walk(bind, ())
+        # one phase whose one stream holds 4 references
+        kstate.bind_walk(bind, [np.arange(4, dtype=np.int64)],
+                         [np.zeros(4, dtype=np.uint8)], [4], [2])
+        # the walk's arguments after the stream tables
+        ph_len, ph_compute = kstate.runner.keepalive[37:39]
+        assert ph_len.tolist() == [4] and ph_compute.tolist() == [2]
         kstate.release()
         assert kstate.runner is None
         machine.vm.reserve(100_000)
@@ -151,7 +158,7 @@ class TestExportLocks:
 
     def test_reserve_covers_whole_pages(self, machine, kstate):
         """Bail-time page operations touch every block of a page, so the
-        reserve must cover the phase's maxima rounded up to pages."""
+        reserve must cover the trace's maxima rounded up to pages."""
         max_block = 63
         _marshal(kstate, max_block=max_block)
         bpp = int(kstate.con[CON_BPP])
@@ -381,3 +388,45 @@ class TestBuildCommand:
         monkeypatch.setattr(cbuild, "_CFLAGS", (*cbuild._CFLAGS, "-DX"))
         assert cbuild._digest(source) != digest
         assert cbuild._digest(source + b"\n") != digest
+
+
+@pytest.fixture(scope="module")
+def built_walk(tmp_path_factory):
+    """A walk built into a cache directory of its own, shared by the
+    cache tests below, which copy it into their own caches."""
+    if ("REPRO_KERNEL_CC" in os.environ) or cbuild._compiler() is None:
+        pytest.skip("no working C toolchain")
+    cache = tmp_path_factory.mktemp("kernel-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL_CACHE", str(cache))
+        assert cbuild._build() is not None
+    (path,) = cache.glob("cwalk-*.so")
+    return path
+
+
+class TestBuildCache:
+    """What the shared-object cache holds and when it is used."""
+
+    def test_unresolved_compiler_override_beats_the_cache(
+            self, built_walk, tmp_path, monkeypatch):
+        shutil.copy(built_walk, tmp_path / built_walk.name)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_KERNEL_CC", "/nonexistent-compiler")
+        assert cbuild._compiler() is None
+        assert cbuild._build() is None
+        # with no override a cached walk loads, compiler or not
+        monkeypatch.delenv("REPRO_KERNEL_CC")
+        monkeypatch.setattr(cbuild, "_compiler", lambda: None)
+        assert cbuild._build().repro_kernel_walk
+        assert [p.name for p in tmp_path.iterdir()] == [built_walk.name]
+
+    def test_build_prunes_superseded_walks(self, built_walk, tmp_path,
+                                           monkeypatch):
+        stale = tmp_path / "cwalk-0000000000000000.so"
+        stale.write_bytes(b"a walk of an older revision")
+        other = tmp_path / "notes.txt"
+        other.write_text("not a walk")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        assert cbuild._build().repro_kernel_walk
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            built_walk.name, "notes.txt"]

@@ -14,6 +14,9 @@ relies on, not absolute numbers:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.machine import Machine
@@ -141,6 +144,33 @@ class TestComparativeRelations:
             machine = Machine(small_config, build_system(name))
             text = machine.describe()
             assert isinstance(text, str) and text
+
+
+class TestMachineLifetime:
+    """A finished run's machine and its protocol, and with them the
+    stores, are freed by reference counting alone: nothing holds a
+    strong reference back to the machine, so no cycle waits for the
+    cyclic collector."""
+
+    @pytest.mark.parametrize("engine", ["legacy", "batched", "kernel"])
+    @pytest.mark.parametrize("system", list(SYSTEM_NAMES))
+    def test_freed_without_the_cyclic_gc(self, system, engine, small_config,
+                                         small_machine):
+        spec = make_simple_spec(pages=24, accesses=300, phases=2,
+                                write_fraction=0.3)
+        trace = make_trace(spec, small_machine)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            machine = Machine(small_config, build_system(system))
+            stats = machine.run(trace, engine=engine)
+            assert stats.total_accesses == trace.total_accesses()
+            refs = [weakref.ref(machine), weakref.ref(machine.protocol)]
+            del machine
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFactory:
