@@ -10,10 +10,10 @@ Two checks, both runnable locally:
     recoveries visible in the runner counters.
 
 ``python scripts/chaos_smoke.py kill-resume``
-    Launches a journaled sweep in a subprocess, SIGKILLs it mid-flight,
-    reruns it with ``--resume`` to completion, then reruns once more and
-    asserts zero runs were re-executed (everything served from the
-    journal).
+    Launches a sweep with a result store (``--store``) in a subprocess,
+    SIGKILLs it once a run has been committed, reruns it to completion
+    (the committed runs served from the store), then reruns once more
+    and asserts zero runs were re-executed: every row is a store hit.
 
 Exit code 0 means the invariants held.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -71,48 +72,66 @@ def check_chaos() -> int:
     return 0
 
 
+def _stored_rows(store: Path) -> int:
+    """Runs committed to the store so far (0 until its table exists)."""
+    if not store.exists():
+        return 0
+    try:
+        conn = sqlite3.connect(str(store), timeout=5)
+        try:
+            (count,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
+        finally:
+            conn.close()
+    except sqlite3.Error:
+        return 0
+    return int(count)
+
+
 def check_kill_resume() -> int:
     env = _clean_env()
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
         "PYTHONPATH", "")
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "sweep.jsonl"
+        store = Path(tmp) / "sweep.sqlite"
         out_json = Path(tmp) / "out.json"
         argv = [sys.executable, "-m", "repro", "exp", "figure5",
                 "--apps", ",".join(APPS), "--scale", SCALE, "--jobs", "2",
-                "--journal", str(journal), "--json", str(out_json)]
+                "--store", str(store), "--json", str(out_json)]
 
-        # 1) start a journaled sweep and SIGKILL it mid-flight (as soon
-        # as the journal shows progress, so the kill lands mid-sweep)
+        # 1) start the sweep and SIGKILL it mid-flight (as soon as the
+        # store holds a committed run, so the kill lands mid-sweep)
         victim = subprocess.Popen(argv, env=env, cwd=tmp,
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL)
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if journal.exists() and journal.stat().st_size > 0:
-                break
-            if victim.poll() is not None:
+            if _stored_rows(store) > 0 or victim.poll() is not None:
                 break
             time.sleep(0.02)
+        at_kill = 0
         if victim.poll() is None:
             victim.send_signal(signal.SIGKILL)
             victim.wait()
-            print(f"killed mid-flight (journal: "
-                  f"{journal.stat().st_size if journal.exists() else 0} bytes)")
+            at_kill = _stored_rows(store)
+            print(f"killed mid-flight ({at_kill} run(s) in the store)")
         else:
             # tiny sweeps can finish before the kill lands; the resume
-            # half of the check still proves the journal contract
+            # half of the check still proves the store contract
             print("sweep finished before the kill; continuing with resume")
 
-        # 2) resume to completion
-        rc = subprocess.run(argv + ["--resume"], env=env, cwd=tmp).returncode
+        # 2) resume to completion: the committed runs are store hits
+        rc = subprocess.run(argv, env=env, cwd=tmp).returncode
         if rc != 0:
             print(f"FAIL: resumed sweep exited {rc}")
             return 1
         first = json.loads(out_json.read_text())
+        hits = (first.get("runner") or {}).get("store_hits", 0)
+        if hits < at_kill:
+            print(f"FAIL: resume served {hits} of {at_kill} stored runs")
+            return 1
 
-        # 3) resume again: everything must come from the journal
-        rc = subprocess.run(argv + ["--resume"], env=env, cwd=tmp).returncode
+        # 3) resume again: every row must come from the store
+        rc = subprocess.run(argv, env=env, cwd=tmp).returncode
         if rc != 0:
             print(f"FAIL: second resume exited {rc}")
             return 1
@@ -122,8 +141,9 @@ def check_kill_resume() -> int:
         if runner.get("runs") != 0:
             print(f"FAIL: resume re-executed {runner.get('runs')} runs")
             return 1
-        if runner.get("journal_hits", 0) <= 0:
-            print("FAIL: resume did not report journal hits")
+        if runner.get("store_hits") != len(second["rows"]):
+            print(f"FAIL: {runner.get('store_hits')} store hits for "
+                  f"{len(second['rows'])} rows")
             return 1
         if second["rows"] != first["rows"]:
             print("FAIL: resumed rows differ")

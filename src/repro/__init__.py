@@ -50,32 +50,25 @@ The public API is intentionally small:
     run one (workload, system) pair and collect execution time, miss
     breakdowns and page-operation counts.
 
-``SweepRunner`` / ``SweepJournal`` / ``RunnerStats``
+``SweepRunner`` / ``RunnerStats``
     execute batches of independent runs — memoized by a trace/config
     digest and fanned out across *supervised* worker processes — the
     engine behind every figure/table/ablation harness.  Worker crashes,
     hangs and run exceptions are classified, retried with capped
     exponential backoff and demoted down a shm → npz → inline
-    degradation ladder; a :class:`SweepJournal` checkpoints completed
-    results so an interrupted sweep resumes without recomputing
-    (``repro exp --journal/--resume``), and :class:`RunnerStats`
-    surfaces the cache/dispatch/fault counters.
+    degradation ladder, and :class:`RunnerStats` surfaces the
+    cache/dispatch/fault counters.
 
 ``ResultStore``
     the durable, content-addressed result store: one SQLite file holding
-    every completed run keyed by the same trace/config digests as the
-    runner's memo table and the journal, with provenance, checksums and
-    schema migration.  Wire it in with ``SweepRunner(store=...)``,
-    ``run_scenario(store=...)`` or ``repro exp --store PATH`` — a sweep
-    re-run in a fresh process replays from the store without simulating
-    (``repro store ls|verify|gc|export`` inspects one).
-
-``SweepService`` / ``ServiceClient``
-    the persistent sweep service: a warm local daemon (``repro serve``)
-    holding one runner + store behind a Unix socket, deduping identical
-    in-flight submissions across any number of clients and streaming
-    per-run progress (``repro exp <scenario> --service SOCKET``, or
-    :meth:`ServiceClient.submit` from Python).
+    every completed run keyed by the same (trace digest, system, config)
+    key as the runner's memo table — whichever engine ran it — with
+    provenance, checksums and schema migration.  Wire it in with
+    ``SweepRunner(store=...)``, ``run_scenario(store=...)`` or ``repro
+    exp --store PATH``: every completed run is committed as it finishes,
+    so a sweep re-run in a fresh process, even after a SIGKILL, executes
+    only the runs the store lacks (``repro store ls|verify|gc|export``
+    inspects one).
 
 ``ENGINE_NAMES``
     the available execution engines (``"kernel"``, the compiled default,
@@ -146,7 +139,6 @@ from repro.engine import ENGINE_NAMES
 from repro.experiments.runner import (
     ExperimentResult,
     RunnerStats,
-    SweepJournal,
     SweepRunner,
     run_experiment,
     run_pair,
@@ -158,7 +150,6 @@ from repro.experiments.scenario import (
     list_scenarios,
     run_scenario,
 )
-from repro.experiments.service import ServiceClient, SweepService
 from repro.experiments.store import ResultStore
 from repro.kernel.placement import PLACEMENT_NAMES, build_placement
 from repro.registry import (
@@ -228,11 +219,8 @@ __all__ = [
     "run_pair",
     "ExperimentResult",
     "SweepRunner",
-    "SweepJournal",
     "RunnerStats",
     "ResultStore",
-    "SweepService",
-    "ServiceClient",
     "ENGINE_NAMES",
     "analyze_trace",
     "SharingClass",

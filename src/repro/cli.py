@@ -25,16 +25,12 @@ command                 what it does
                         dead repro processes
 ``store``               inspect the durable result store: ``ls``, ``verify``,
                         ``gc``, ``export``
-``serve``               run the persistent sweep service (a warm daemon on a
-                        Unix socket that dedupes and caches sweeps for any
-                        number of ``repro exp --service`` clients)
 =====================  ====================================================
 
-``repro exp`` composes with both: ``--store PATH`` checkpoints every
-completed run into a durable SQLite store (a second invocation — even in
-a new process — replays from it without simulating), and ``--service
-SOCKET`` submits the scenario to a running ``repro serve`` daemon
-instead of executing locally.
+``repro exp --store PATH`` commits every completed run to a durable
+SQLite store as it finishes: a second invocation — in a new process, on
+any engine, or after the first was killed — replays the stored runs
+without simulating them and executes only the rest.
 
 Trace files plug back into every other command: ``repro exp <scenario>
 --apps file:/path/to/trace.rpt`` streams the file through a scenario
@@ -202,9 +198,6 @@ def _default_store(args: argparse.Namespace) -> Optional[str]:
 
 def _make_runner(args: argparse.Namespace) -> SweepRunner:
     kwargs = {}
-    if getattr(args, "journal", None):
-        kwargs["journal"] = args.journal
-        kwargs["resume"] = bool(getattr(args, "resume", False))
     if getattr(args, "retries", None) is not None:
         kwargs["retries"] = args.retries
     if getattr(args, "run_timeout", None) is not None:
@@ -391,14 +384,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
             if getattr(args, "json", False):
                 print(_json.dumps(rows, indent=2))
                 return 0
-            header = (f"{'digest':<16} {'system':<14} {'engine':<8} "
+            header = (f"{'digest':<16} {'system':<14} {'engine_used':<11} "
                       f"{'workload':<12} {'exec_time':>12} {'bytes':>9} "
                       f"{'wall_s':>7}")
             print(header)
             print("-" * len(header))
             for row in rows:
                 print(f"{str(row['digest'])[:16]:<16} {row['system']:<14} "
-                      f"{row['engine']:<8} {str(row['workload']):<12} "
+                      f"{row['engine_used'] or '-':<11} "
+                      f"{str(row['workload']):<12} "
                       f"{row['execution_time']:>12} "
                       f"{row['payload_bytes']:>9} "
                       f"{(row['wall_s'] or 0):>7.2f}")
@@ -410,10 +404,14 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(f"{report['ok']}/{report['rows']} row(s) ok")
             return 0 if not report["corrupt"] else 1
         elif args.store_cmd == "gc":
-            removed = store.gc(max_age_s=args.max_age,
-                               digests=args.digest or None,
-                               everything=args.all,
-                               dry_run=args.dry_run)
+            try:
+                removed = store.gc(max_age_s=args.max_age,
+                                   digests=args.digest or None,
+                                   everything=args.all,
+                                   dry_run=args.dry_run)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             verb = "would remove" if args.dry_run else "removed"
             for key in removed:
                 print(f"{verb}: {describe_key(key)}")
@@ -431,89 +429,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.service import ServiceError, SweepService
-    store = _default_store(args)
-    service = SweepService(args.socket, store=store, jobs=args.jobs,
-                           engine=args.engine, retries=args.retries,
-                           run_timeout=args.run_timeout)
-    where = f"on {args.socket}" + (f" (store: {store})" if store
-                                   else " (memory-only: no --store)")
-    print(f"repro sweep service listening {where}", flush=True)
-    try:
-        service.serve_forever()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-#: ``repro exp`` flags that configure the *local* runner and therefore
-#: conflict with ``--service`` (the daemon owns its runner, store and
-#: journal; submissions only carry axis overrides).
-_SERVICE_INCOMPATIBLE = ("jobs", "engine", "journal", "resume", "retries",
-                         "run_timeout", "store", "policy")
-
-
-def _cmd_exp_service(args: argparse.Namespace,
-                     scenario: Scenario) -> int:
-    """``repro exp <scenario> --service SOCKET``: submit to a daemon."""
-    from repro.experiments.service import ServiceClient, ServiceError
-    for flag in _SERVICE_INCOMPATIBLE:
-        if getattr(args, flag, None):
-            print(f"error: --{flag.replace('_', '-')} configures a local "
-                  "runner and cannot be combined with --service (the "
-                  "daemon owns the runner; set it up via `repro serve`)",
-                  file=sys.stderr)
-            return 2
-    progress: Dict[str, object] = {}
-
-    def on_event(event: Dict[str, object]) -> None:
-        if event.get("event") == "accepted" and event.get("joined"):
-            print("joined an identical in-flight submission",
-                  file=sys.stderr)
-        elif event.get("event") == "progress":
-            progress.update(event.get("runner") or {})
-
-    client = ServiceClient(args.service)
-    try:
-        rs = client.submit(scenario.name,
-                           apps=getattr(args, "apps", None),
-                           systems=getattr(args, "systems", None),
-                           scale=getattr(args, "scale", None),
-                           seed=getattr(args, "seed", None),
-                           on_event=on_event)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(_render_scenario(scenario, rs))
-    if getattr(args, "profile", False) and rs.runner_stats:
-        print()
-        print("runner: " + "  ".join(f"{k}={v}"
-                                     for k, v in rs.runner_stats.items()))
-    if args.chart and rs.series and rs.baseline is not None:
-        print()
-        print(render_resultset(rs, "chart"))
-    written = export_resultset(rs, csv_path=args.csv, json_path=args.json,
-                               markdown_path=args.markdown)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_exp(args: argparse.Namespace) -> int:
-    if getattr(args, "resume", False) and not getattr(args, "journal", None):
-        print("error: --resume requires --journal PATH", file=sys.stderr)
-        return 2
-    if getattr(args, "service", None):
-        try:
-            scenario = SCENARIOS.resolve(args.scenario)
-        except UnknownNameError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _cmd_exp_service(args, scenario)
     try:
         scenario = SCENARIOS.resolve(args.scenario)
         rs, profile = _run_exp(args, scenario.name)
@@ -769,11 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: REPRO_JOBS or 1)")
     exp_p.add_argument("--engine", choices=ENGINE_NAMES, default=None,
                        help="simulation engine (default: kernel)")
-    exp_p.add_argument("--journal", type=str, default=None,
-                       help="checkpoint completed runs to this JSONL file")
-    exp_p.add_argument("--resume", action="store_true",
-                       help="restore already-journaled runs instead of "
-                            "recomputing them (requires --journal)")
     exp_p.add_argument("--retries", type=int, default=None,
                        help="retry budget per run for crashed/hung/failed "
                             "workers (default: REPRO_RETRIES or 3)")
@@ -783,13 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--store", type=str, default=None,
                        help="durable result store (SQLite): completed runs "
                             "are checkpointed into it and future sweeps — "
-                            "in any process — replay from it (default: "
-                            "REPRO_STORE if set)")
-    exp_p.add_argument("--service", type=str, default=None,
-                       metavar="SOCKET",
-                       help="submit the scenario to a running `repro serve` "
-                            "daemon on this Unix socket instead of "
-                            "executing locally")
+                            "in any process, on any engine, after a kill — "
+                            "replay from it (default: REPRO_STORE if set)")
     exp_p.add_argument("--csv", type=str, default=None,
                        help="write the flat result rows to this CSV file")
     exp_p.add_argument("--json", type=str, default=None,
@@ -896,11 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
     gc_p = ssub.add_parser("gc", help="delete rows by age or digest prefix")
     gc_p.add_argument("--max-age", type=float, default=None,
                       metavar="SECONDS",
-                      help="delete rows older than this many seconds")
+                      help="delete rows older than this many seconds "
+                           "(>= 0)")
     gc_p.add_argument("--digest", action="append", default=None,
                       metavar="PREFIX",
                       help="delete rows whose trace digest starts with "
-                           "this hex prefix (repeatable)")
+                           "this lowercase hex prefix (repeatable)")
     gc_p.add_argument("--all", action="store_true",
                       help="delete every row")
     gc_p.add_argument("--dry-run", action="store_true",
@@ -910,24 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "payloads)")
     exp_store_p.add_argument("--out", type=str, default=None,
                              help="write to this file instead of stdout")
-
-    serve_p = sub.add_parser(
-        "serve", help="run the persistent sweep service on a Unix socket")
-    serve_p.add_argument("--socket", type=str, required=True,
-                         help="Unix socket path to listen on")
-    serve_p.add_argument("--store", type=str, default=None,
-                         help="durable result store backing the service "
-                              f"(default: {STORE_ENV_VAR}; omit for "
-                              "memory-only)")
-    serve_p.add_argument("--jobs", "-j", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS or 1)")
-    serve_p.add_argument("--engine", choices=ENGINE_NAMES, default=None,
-                         help="simulation engine (default: kernel)")
-    serve_p.add_argument("--retries", type=int, default=None,
-                         help="retry budget per run (default: REPRO_RETRIES "
-                              "or 3)")
-    serve_p.add_argument("--run-timeout", type=float, default=None,
-                         help="per-run wall-clock timeout in seconds")
 
     return parser
 
@@ -949,7 +838,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "trace": _cmd_trace,
     "clean-shm": _cmd_clean_shm,
     "store": _cmd_store,
-    "serve": _cmd_serve,
 }
 
 

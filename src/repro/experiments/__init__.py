@@ -7,10 +7,8 @@
   :class:`Scenario` plans, the single :func:`run_scenario` executor and
   the :class:`ResultSet` artifact.
 * :mod:`repro.experiments.store` — the durable content-addressed
-  :class:`ResultStore` (SQLite) every completed run can checkpoint into.
-* :mod:`repro.experiments.service` — the persistent sweep service: a
-  warm daemon (:class:`SweepService`) deduping and caching sweeps for
-  concurrent :class:`ServiceClient` submitters.
+  :class:`ResultStore` (SQLite) every completed run can checkpoint into,
+  and a killed sweep resumes from.
 * :mod:`repro.experiments.scenarios` — the built-in scenario registry:
   Figures 5-8, Tables 1-4 and the ablations/sweeps as declarations.
 * :mod:`repro.experiments.table1` … :mod:`repro.experiments.figure8` —
@@ -34,7 +32,6 @@ from repro.experiments.scenario import (
     list_scenarios,
     run_scenario,
 )
-from repro.experiments.service import ServiceClient, ServiceError, SweepService
 from repro.experiments.store import ResultStore, StoreError
 from repro.experiments import scenarios as _builtin_scenarios  # noqa: F401  (registers the built-ins)
 
@@ -53,7 +50,4 @@ __all__ = [
     "list_scenarios",
     "ResultStore",
     "StoreError",
-    "SweepService",
-    "ServiceClient",
-    "ServiceError",
 ]

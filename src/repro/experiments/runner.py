@@ -33,7 +33,7 @@ ride their own lane: the trace already *is* a digest-carrying on-disk
 artifact, so the runner submits just its path — workers mmap the file
 and stream phases out of core, and nothing is ever published to shm or
 spilled to npz.  Their content digest comes from the file footer, so
-memoization, journaling and resume work without hashing a single stream
+memoization and the result store work without hashing a single stream
 byte.
 
 Parallel execution is *supervised*: futures are harvested as they
@@ -43,35 +43,28 @@ timeout (the runner kills the hung pool), or an exception raised by the
 run itself — and failed runs are retried on a respawned pool with
 capped exponential backoff, degrading repeat offenders from the
 shared-memory lane to the npz lane to inline execution in the
-supervising process (which cannot crash the sweep).  Completed results
-can additionally be checkpointed to an append-only
-:class:`SweepJournal`, letting an interrupted or killed sweep resume
-without recomputing anything (``repro exp --journal/--resume``).  The
-deterministic fault injectors in :mod:`repro.experiments.faults` prove
-the invariant: a sweep under injected crashes/hangs returns results
-bit-identical to a fault-free run.
+supervising process (which cannot crash the sweep).  The deterministic
+fault injectors in :mod:`repro.experiments.faults` prove the invariant:
+a sweep under injected crashes/hangs returns results bit-identical to a
+fault-free run.
 
 The memo table itself can be made durable: a content-addressed
 :class:`~repro.experiments.store.ResultStore` (``store=`` /
-``repro exp --store``) is consulted before any pending run executes and
-upserted after, sharing the exact memo/journal key scheme — so a sweep
-re-run in a fresh process serves entirely from the store, and the
-persistent sweep service (:mod:`repro.experiments.service`) keeps one
-warm store shared by every client.
+``repro exp --store``) is consulted before any pending run executes,
+and every completed run is committed to it as soon as it is harvested,
+under the memo's own key.  A sweep killed at any instant therefore
+loses at most its in-flight runs: re-run against the same store, in a
+fresh process, it executes only what the store does not hold.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import os
-import pickle
 import shutil
 import tempfile
 import threading
 import time
 import weakref
-import zlib
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -289,10 +282,10 @@ def _peak_rss_kb() -> int:
 def _exit_with_parent() -> None:
     """Pool-worker initializer: exit once the worker's parent is gone.
 
-    A SIGKILLed sweep (or ``repro serve`` daemon) cannot shut its pool
-    down; without this its workers, and the resource tracker that waits
-    for them, would live on reparented to init.  A daemon thread polls
-    the parent pid about once a second and exits when it changes.
+    A SIGKILLed sweep cannot shut its pool down; without this its
+    workers, and the resource tracker that waits for them, would live on
+    reparented to init.  A daemon thread polls the parent pid about once
+    a second and exits when it changes.
     """
     parent_pid = os.getppid()
 
@@ -552,119 +545,9 @@ def _execute_file_run(trace_path: str, digest: str, system_name: str,
     return _execute_run(trace, system_name, cfg, engine), opened
 
 
-# ---------------------------------------------------------------------------
-# Sweep journal: crash-safe checkpoint of completed results
-# ---------------------------------------------------------------------------
-
-
-#: The memo/journal key: (trace digest, system, config repr, engine).
-RunKey = Tuple[str, str, str, str]
-
-#: Journal record format version (bump on incompatible change).
-JOURNAL_FORMAT = 1
-
-
-class SweepJournal:
-    """Append-only JSONL checkpoint of completed sweep results.
-
-    Each record is one line — ``{"v": 1, "key": [digest, system, config,
-    engine], "result": <base64(zlib(pickle))>}`` — appended and flushed
-    as soon as the run is harvested, so a sweep killed at any instant
-    loses at most the in-flight runs.  On resume (``resume=True``) the
-    journal is parsed leniently: a torn trailing record from a killed
-    writer is skipped, everything before it is restored.  Restored
-    results pre-populate the owning :class:`SweepRunner`'s memo table,
-    so a resumed sweep re-executes **zero** already-completed runs
-    (observable as ``RunnerStats.runs == 0`` /
-    ``RunnerStats.journal_hits``).
-
-    The journal key is the runner's content-addressed memo key — trace
-    digest, system name, canonical config description and engine — so
-    resuming is safe across processes and machines: a changed workload,
-    config or engine simply misses the journal and recomputes.
-
-    .. note:: records embed pickled :class:`ExperimentResult` objects;
-       load journals only from paths you trust, like any pickle.
-
-    Parameters
-    ----------
-    path:
-        The journal file.  Parent directories are created on first
-        append.
-    resume:
-        ``True`` loads existing records into :attr:`loaded`; ``False``
-        (the default) truncates any existing file and starts fresh.
-    """
-
-    def __init__(self, path: Union[str, Path], *, resume: bool = False) -> None:
-        self.path = Path(path)
-        self._fh = None
-        self.loaded: Dict[RunKey, ExperimentResult] = {}
-        if resume:
-            self.loaded = self._load()
-        elif self.path.exists():
-            self.path.unlink()
-
-    def _load(self) -> Dict[RunKey, ExperimentResult]:
-        out: Dict[RunKey, ExperimentResult] = {}
-        if not self.path.exists():
-            return out
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = tuple(rec["key"])
-                    blob = zlib.decompress(base64.b64decode(rec["result"]))
-                    result = pickle.loads(blob)
-                except Exception:
-                    continue   # torn tail record from a killed writer
-                if len(key) == 4 and isinstance(result, ExperimentResult):
-                    out[key] = result   # type: ignore[index]
-        return out
-
-    def append(self, key: RunKey, result: ExperimentResult) -> None:
-        """Checkpoint one completed run (flushed immediately).
-
-        Opening an existing journal for append first *heals* a torn
-        tail: when a killed writer left the file without a trailing
-        newline, a newline is written before the new record so the torn
-        fragment stays isolated on its own line (skipped by the lenient
-        loader) instead of corrupting the first record of the resumed
-        sweep.
-        """
-        if self._fh is None:
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            heal = False
-            try:
-                with open(self.path, "rb") as existing:
-                    existing.seek(-1, os.SEEK_END)
-                    heal = existing.read(1) != b"\n"
-            except (OSError, ValueError):
-                pass   # missing or empty file: nothing to heal
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if heal:
-                self._fh.write("\n")
-        blob = base64.b64encode(zlib.compress(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))).decode("ascii")
-        self._fh.write(json.dumps(
-            {"v": JOURNAL_FORMAT, "key": list(key), "result": blob}) + "\n")
-        self._fh.flush()
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Close the underlying file (appends reopen it)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+#: The memo and store key: (trace digest, system, canonical config).  The
+#: engine is not part of it: the engines are bit-identical by contract.
+RunKey = Tuple[str, str, str]
 
 
 @dataclass
@@ -689,11 +572,8 @@ class RunnerStats:
     timeouts: int = 0       # runs killed by the per-run wall-clock timeout
     run_errors: int = 0     # runs whose execution raised an exception
     degradations: int = 0   # lane demotions (shm -> npz -> inline)
-    journal_hits: int = 0   # results restored from a resumed journal
     store_hits: int = 0     # pending runs served from the durable store
     store_misses: int = 0   # pending runs the durable store had never seen
-    inflight_joins: int = 0  # submissions joined to an identical in-flight
-    #                          run (set by the sweep service's deduper)
     shm_errors: int = 0     # shared-memory publish/cleanup failures
     #: kernel bail counts by kind, summed over executed runs — always
     #: carries the full stable key set, even when every count is zero
@@ -729,10 +609,8 @@ class RunnerStats:
             "timeouts": self.timeouts,
             "run_errors": self.run_errors,
             "degradations": self.degradations,
-            "journal_hits": self.journal_hits,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
-            "inflight_joins": self.inflight_joins,
             "shm_errors": self.shm_errors,
             "bail_kinds": {name: self.bail_kinds.get(name, 0)
                            for name in BAIL_KIND_NAMES},
@@ -788,9 +666,9 @@ class SweepRunner:
         is deterministic — including under worker crashes and timeouts,
         which are retried (see ``retries`` / ``run_timeout``).
     memoize:
-        Keep a result table keyed by ``(trace digest, system, config,
-        engine)`` so repeated runs (e.g. the per-app perfect baseline
-        shared by several figures) are simulated once.
+        Keep a result table keyed by ``(trace digest, system, config)``
+        so repeated runs (e.g. the per-app perfect baseline shared by
+        several figures) are simulated once.
     engine:
         Execution engine for all runs (default: ``REPRO_ENGINE`` or
         ``kernel``, see :mod:`repro.engine`).
@@ -800,25 +678,15 @@ class SweepRunner:
         temporary directory, used lazily (only when runs are actually
         dispatched to workers) and removed on :meth:`close`.  Pass a
         shared store to reuse spilled traces across runners.
-    journal:
-        Checkpoint completed results to this :class:`SweepJournal` (or a
-        path, opened with ``resume=``).  Restored records pre-populate
-        the memo table so a resumed sweep recomputes nothing.
-    resume:
-        When ``journal`` is a path: load existing records instead of
-        truncating the file.
     store:
         A durable content-addressed
         :class:`~repro.experiments.store.ResultStore` (or a path to one,
         opened — and closed — by this runner).  Pending runs consult the
         store before executing (``RunnerStats.store_hits`` /
-        ``store_misses``) and completed runs are upserted into it, so
-        results survive the process: a sweep re-run against the same
-        store in a fresh process executes zero simulations.  When both a
-        resumed journal and a store are configured they are reconciled
-        first — the store wins on key match, journal-only rows are
-        backfilled into the store (see
-        :meth:`~repro.experiments.store.ResultStore.reconcile_journal`).
+        ``store_misses``) and each completed run is committed to it as
+        soon as it is harvested, so results survive the process: a
+        sweep re-run against the same store in a fresh process — after
+        a clean exit or a SIGKILL — executes only the runs it lacks.
     retries:
         Retry budget per run for crash/timeout/error failures (default
         3, or ``REPRO_RETRIES``).  The final attempts walk the
@@ -842,8 +710,6 @@ class SweepRunner:
     def __init__(self, jobs: Optional[int] = None, *, memoize: bool = True,
                  engine: Optional[str] = None,
                  trace_store: Optional[TraceStore] = None,
-                 journal: Optional[Union[str, Path, SweepJournal]] = None,
-                 resume: bool = False,
                  store: Optional[Union[str, Path, ResultStore]] = None,
                  retries: Optional[int] = None,
                  run_timeout: Optional[float] = None,
@@ -865,37 +731,12 @@ class SweepRunner:
         self._trace_keys: Dict[int, str] = {}
         self._shm_pool: Optional[SharedTracePool] = None
         self._shm_broken = False   # platform refused a segment: stay on npz
-        if journal is None or isinstance(journal, SweepJournal):
-            self.journal = journal
-            self._owns_journal = False
-        else:
-            self.journal = SweepJournal(journal, resume=resume)
-            self._owns_journal = True
         if store is None or isinstance(store, ResultStore):
             self.store = store
             self._owns_result_store = False
         else:
             self.store = ResultStore(store)
             self._owns_result_store = True
-        # keys restored from a resumed journal: their memo hits count as
-        # journal_hits too, so the hit shows up in per-sweep stat deltas
-        # (run_scenario reports the delta across its batch, and the
-        # preload happens before any batch starts)
-        self._journal_keys: Set[RunKey] = set()
-        if self.journal is not None and self.journal.loaded:
-            for key, result in self.journal.loaded.items():
-                self._memo[tuple(key)] = result
-            self._journal_keys = set(self._memo)
-        # a resumed journal and a durable store can disagree after a torn
-        # write: reconcile before the first batch — the store's
-        # checksummed rows win on key match (replacing the journal's
-        # memo preload), journal-only rows are backfilled into the store
-        if self.store is not None and self._journal_keys:
-            self.store.reconcile_journal(self.journal)
-            for key in self._journal_keys:
-                stored = self.store.get(key)
-                if stored is not None:
-                    self._memo[key] = stored
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -906,7 +747,7 @@ class SweepRunner:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker pool, the shm pool, the store and the journal."""
+        """Shut down the worker pool, the shm pool and the stores."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -916,8 +757,6 @@ class SweepRunner:
             self._shm_pool = None
         if self._owns_store:
             self.trace_store.close()
-        if self.journal is not None and self._owns_journal:
-            self.journal.close()
         if self.store is not None and self._owns_result_store:
             self.store.close()
 
@@ -934,8 +773,7 @@ class SweepRunner:
             tkey = _trace_digest(trace)
             self._trace_keys[id(trace)] = tkey
             weakref.finalize(trace, self._trace_keys.pop, id(trace), None)
-        return (tkey, system_name, repr(sorted(cfg.describe().items())),
-                self.engine)
+        return (tkey, system_name, repr(sorted(cfg.describe().items())))
 
     # -- supervised parallel execution --------------------------------------
 
@@ -1015,7 +853,7 @@ class SweepRunner:
         return fut, LANE_NPZ
 
     def _harvest(self, key: RunKey, payload, lane: str) -> ExperimentResult:
-        """Fold one completed worker payload into stats + journal."""
+        """Fold one completed worker payload into the stats and the store."""
         if lane == LANE_SHM:
             result, attached = payload
             if attached:
@@ -1030,16 +868,14 @@ class SweepRunner:
                 self.stats.worker_reuse += 1
         else:
             result = payload
-        self.stats.note_profile(result.stats.engine_profile)
-        self._journal_append(key, result)
-        return result
+        return self._record(key, result)
 
-    def _journal_append(self, key: RunKey, result: ExperimentResult) -> None:
-        """Checkpoint one completed run to the journal and the store."""
-        if self.journal is not None:
-            self.journal.append(key, result)
+    def _record(self, key: RunKey, result: ExperimentResult) -> ExperimentResult:
+        """Count one executed run and commit it to the store."""
+        self.stats.note_profile(result.stats.engine_profile)
         if self.store is not None:
-            self.store.put(key, result)
+            self.store.put(key, result, engine=self.engine)
+        return result
 
     def _run_supervised(self, pending: Dict[RunKey, Tuple[Trace, str,
                                                           SimulationConfig]]
@@ -1047,10 +883,11 @@ class SweepRunner:
         """Execute ``pending`` across the worker pool under supervision.
 
         Futures are harvested as they complete, so results finished
-        before a crash are never lost.  Failed runs are classified and
-        retried in *waves*: each wave submits everything still missing,
-        sleeps a capped exponential backoff first, and walks repeat
-        offenders down the lane ladder (shm → npz → inline).  Worker
+        before a crash are never lost (and are already in the store).
+        Failed runs are classified and retried in *waves*: each wave
+        submits everything still missing, sleeps a capped exponential
+        backoff first, and walks repeat offenders down the lane ladder
+        (shm → npz → inline).  Worker
         crashes break the whole ``ProcessPoolExecutor``; blame is
         assigned to the runs observed executing at the break (or to all
         unharvested runs of the wave when none were observed, which
@@ -1111,10 +948,8 @@ class SweepRunner:
             # the inline lane executes here, in parallel with the pool
             for key in inline_keys:
                 trace, name, cfg = pending[key]
-                result = _execute_run(trace, name, cfg, self.engine)
-                self.stats.note_profile(result.stats.engine_profile)
-                self._journal_append(key, result)
-                executed[key] = result
+                executed[key] = self._record(
+                    key, _execute_run(trace, name, cfg, self.engine))
                 todo.discard(key)
 
             penalized: Set[RunKey] = set()
@@ -1184,13 +1019,13 @@ class SweepRunner:
 
         Cache-missing items are deduplicated and executed — across the
         supervised worker pool when ``jobs > 1`` — and every result lands
-        in the memo table (and the journal, when one is attached).  The
+        in the memo table (and the store, when one is attached).  The
         returned list is aligned with ``items``.
 
         Explicit :class:`SystemSpec` objects (rather than registry names)
         may carry arbitrary protocol factories, so they are executed
         inline and bypass the memo table, the worker pool and the
-        journal — a customised spec can never be conflated with the
+        store — a customised spec can never be conflated with the
         registry system of the same name.
         """
         keyed: List[Tuple[Optional[RunKey], Trace,
@@ -1208,9 +1043,6 @@ class SweepRunner:
 
         self.stats.memo_hits += sum(1 for key, *_ in keyed
                                     if key is not None and key in self._memo)
-        self.stats.journal_hits += sum(1 for key, *_ in keyed
-                                       if key is not None
-                                       and key in self._journal_keys)
 
         # consult the durable store before executing anything: hits are
         # pulled into the memo table (so later batches hit the memo
@@ -1232,10 +1064,8 @@ class SweepRunner:
                     self._memo[key] = result
             else:
                 for key, (trace, name, cfg) in pending.items():
-                    result = _execute_run(trace, name, cfg, self.engine)
-                    self.stats.note_profile(result.stats.engine_profile)
-                    self._memo[key] = result
-                    self._journal_append(key, result)
+                    self._memo[key] = self._record(
+                        key, _execute_run(trace, name, cfg, self.engine))
 
         results = []
         for key, trace, system, cfg in keyed:

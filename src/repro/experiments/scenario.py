@@ -518,8 +518,6 @@ def run_scenario(scenario: Union[str, Scenario], *,
                  scale: Optional[float] = None,
                  seed: Optional[int] = None,
                  runner: Optional[SweepRunner] = None,
-                 journal: Optional[Union[str, "Path"]] = None,
-                 resume: bool = False,
                  store: Optional[Union[str, "Path"]] = None) -> ResultSet:
     """Execute ``scenario`` and return its :class:`ResultSet`.
 
@@ -541,21 +539,16 @@ def run_scenario(scenario: Union[str, Scenario], *,
     runner:
         A shared :class:`~repro.experiments.runner.SweepRunner`; a
         private one is created (and closed) when omitted.
-    journal / resume:
-        Checkpoint completed runs to this
-        :class:`~repro.experiments.runner.SweepJournal` path, and (with
-        ``resume=True``) restore any already-journaled results so an
-        interrupted sweep recomputes nothing.  Only valid when the
-        scenario creates its own runner — configure a shared runner's
-        journal directly.
     store:
         Durable content-addressed result store
         (:class:`~repro.experiments.store.ResultStore` path): pending
         runs are served from the store when it already holds them and
-        upserted into it after execution, so a scenario re-run against
-        the same store — even in a fresh process — executes zero
-        simulations (``runner_stats["store_hits"]``).  Only valid when
-        the scenario creates its own runner, like ``journal``.
+        committed to it as each completes, so a scenario re-run against
+        the same store — even in a fresh process, even after the first
+        run was killed — executes only the runs the store lacks
+        (``runner_stats["store_hits"]``).  Only valid when the scenario
+        creates its own runner — configure a shared runner's store
+        directly.
 
     Returns
     -------
@@ -658,8 +651,7 @@ def run_scenario(scenario: Union[str, Scenario], *,
         return traces[tkey]
 
     # -- one batch through the runner ---------------------------------------
-    runner, owned = ensure_runner(runner, journal=journal, resume=resume,
-                                  store=store)
+    runner, owned = ensure_runner(runner, store=store)
     try:
         # report only this plan's share of a (possibly shared) runner's
         # counters: the delta across the batch, not the lifetime totals

@@ -1,13 +1,13 @@
 """Durable, content-addressed result store (``ResultStore``, SQLite).
 
 The :class:`~repro.experiments.runner.SweepRunner` memoizes results by a
-content-addressed key — ``(trace digest, system, canonical config,
-engine)`` — but its memo table dies with the process.  This module
-promotes that table to a *durable* store: a single SQLite file holding
-one row per completed run, keyed by the exact memo/journal key scheme,
-so the in-process memo, the :class:`~repro.experiments.runner.
-SweepJournal` and the store all interoperate (a key computed for any one
-of them addresses the same run in the others).
+content-addressed key — ``(trace digest, system, canonical config)`` —
+but its memo table dies with the process.  This module promotes that
+table to a *durable* store: a single SQLite file holding one row per
+completed run under the same key, so a key computed for the memo
+addresses the same run in the store.  The engine is not part of the
+key: the engines are bit-identical by contract, so a row filled by one
+engine serves every other.
 
 Each row carries the full pickled :class:`~repro.experiments.runner.
 ExperimentResult` (zlib-compressed, blake2b-checksummed) plus extracted
@@ -22,17 +22,13 @@ every upsert is one atomic transaction, and a schema-version row in the
 ``meta`` table lets newer code open and migrate older stores in place
 (:data:`SCHEMA_VERSION`, :meth:`ResultStore._migrate`).
 
-A store is wired into sweeps at three levels:
-
-* ``SweepRunner(store=...)`` — cache-missing runs consult the store
-  before executing and publish into it after
-  (``RunnerStats.store_hits`` / ``store_misses``);
-* ``run_scenario(store=...)`` / ``repro exp --store PATH`` — the same,
-  per scenario, so a sweep re-run in a *fresh process* reports 100%
-  store hits;
-* the persistent sweep service (:mod:`repro.experiments.service`) —
-  the store is the service's checkpoint, so a killed daemon restarts
-  with every completed run already warm.
+A store is wired into sweeps through ``SweepRunner(store=...)``,
+``run_scenario(store=...)`` or ``repro exp --store PATH``: pending runs
+consult the store before executing (``RunnerStats.store_hits`` /
+``store_misses``) and every completed run is committed to it as soon as
+it is harvested, so a sweep killed at any instant loses at most its
+in-flight runs and a re-run — in a fresh process — executes only the
+runs the store does not hold.
 
 .. note:: rows embed pickled :class:`ExperimentResult` objects; open
    stores only from paths you trust, like any pickle.
@@ -44,6 +40,7 @@ import base64
 import hashlib
 import json
 import pickle
+import re
 import sqlite3
 import threading
 import time
@@ -52,16 +49,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (runner imports us)
-    from repro.experiments.runner import ExperimentResult, RunKey, SweepJournal
+    from repro.experiments.runner import ExperimentResult, RunKey
 
 #: Environment variable naming the default store file for the CLI.
 STORE_ENV_VAR = "REPRO_STORE"
 
 #: Current store schema version.  v1 held key + metrics + payload only;
 #: v2 added the provenance columns (``engine_used``, ``backend``,
-#: ``package_version``, ``wall_s``, ``created_at``).  Opening a v1 store
-#: with v2 code migrates it in place.
-SCHEMA_VERSION = 2
+#: ``package_version``, ``wall_s``, ``created_at``); v3 dropped the
+#: ``engine`` key column.  Opening a v1 or v2 store migrates it in place.
+SCHEMA_VERSION = 3
 
 #: Provenance columns added by schema v2 (name -> SQL type), in the
 #: order the migration adds them.
@@ -73,6 +70,15 @@ _V2_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("created_at", "REAL"),
 )
 
+#: Every column of a v3 row, key columns first, in table order.
+_COLUMNS: Tuple[str, ...] = (
+    "digest", "system", "config", "workload", "execution_time",
+    "remote_misses", "network_messages", "network_bytes", "payload",
+    "checksum") + tuple(name for name, _ in _V2_COLUMNS)
+
+_UPSERT = (f"INSERT OR REPLACE INTO results ({', '.join(_COLUMNS)}) "
+           f"VALUES ({', '.join('?' * len(_COLUMNS))})")
+
 _CREATE_META = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -81,11 +87,10 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 _CREATE_RESULTS = """
-CREATE TABLE IF NOT EXISTS results (
+CREATE TABLE IF NOT EXISTS {table} (
     digest           TEXT NOT NULL,
     system           TEXT NOT NULL,
     config           TEXT NOT NULL,
-    engine           TEXT NOT NULL,
     workload         TEXT NOT NULL,
     execution_time   INTEGER NOT NULL,
     remote_misses    INTEGER NOT NULL,
@@ -98,9 +103,12 @@ CREATE TABLE IF NOT EXISTS results (
     package_version  TEXT,
     wall_s           REAL,
     created_at       REAL,
-    PRIMARY KEY (digest, system, config, engine)
+    PRIMARY KEY (digest, system, config)
 )
 """
+
+#: A ``gc`` digest prefix: non-empty lowercase hex, matched literally.
+_HEX_PREFIX = re.compile(r"[0-9a-f]+")
 
 
 class StoreError(RuntimeError):
@@ -166,10 +174,8 @@ class ResultStore:
     def _init_schema(self) -> None:
         with self._conn:
             self._conn.execute(_CREATE_META)
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
+            version = self._stored_version()
+            if version is None:
                 has_results = self._conn.execute(
                     "SELECT name FROM sqlite_master WHERE type='table' "
                     "AND name='results'").fetchone()
@@ -177,25 +183,38 @@ class ResultStore:
                     raise StoreError(
                         f"{self.path}: results table without a "
                         "schema_version row — not a repro result store")
-                self._conn.execute(_CREATE_RESULTS)
+                self._conn.execute(_CREATE_RESULTS.format(table="results"))
                 self._conn.execute(
                     "INSERT INTO meta (key, value) VALUES "
                     "('schema_version', ?)", (str(SCHEMA_VERSION),))
                 return
-            version = int(row[0])
             if version > SCHEMA_VERSION:
                 raise StoreError(
                     f"{self.path}: store schema v{version} is newer than "
                     f"this repro (v{SCHEMA_VERSION}); upgrade the package")
             if version < SCHEMA_VERSION:
-                self._migrate(version)
+                # take the write lock, then look again: another process
+                # may have migrated the file while this one waited
+                self._conn.execute("BEGIN IMMEDIATE")
+                version = self._stored_version()
+                if version < SCHEMA_VERSION:
+                    self._migrate(version)
+
+    def _stored_version(self) -> Optional[int]:
+        row = self._conn.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
+        return None if row is None else int(row[0])
 
     def _migrate(self, version: int) -> None:
         """Migrate an older store to :data:`SCHEMA_VERSION` in place.
 
         Runs inside the caller's transaction.  v1 → v2 adds the
-        provenance columns (left NULL for pre-migration rows — their
-        runs genuinely carry no recorded provenance).
+        provenance columns (NULL for pre-migration rows — their runs
+        genuinely carry no recorded provenance).  v2 → v3 rebuilds
+        the table without the ``engine`` key column: rows that differ
+        only by engine collapse to the one with the newest
+        ``created_at``, and a row with no ``engine_used`` keeps the
+        engine its old key named.
         """
         if version == 1:
             existing = {r[1] for r in self._conn.execute(
@@ -204,19 +223,28 @@ class ResultStore:
                 if name not in existing:
                     self._conn.execute(
                         f"ALTER TABLE results ADD COLUMN {name} {sql_type}")
-            version = 2
+        self._conn.execute(_CREATE_RESULTS.format(table="results_v3"))
+        picked = ", ".join("COALESCE(engine_used, engine)"
+                           if name == "engine_used" else name
+                           for name in _COLUMNS)
+        self._conn.execute(
+            f"INSERT INTO results_v3 ({', '.join(_COLUMNS)}) "
+            f"SELECT {picked} FROM results AS r WHERE r.rowid = ("
+            "SELECT s.rowid FROM results AS s WHERE s.digest = r.digest "
+            "AND s.system = r.system AND s.config = r.config "
+            "ORDER BY s.created_at IS NULL, s.created_at DESC, "
+            "s.rowid DESC LIMIT 1)")
+        self._conn.execute("DROP TABLE results")
+        self._conn.execute("ALTER TABLE results_v3 RENAME TO results")
         self._conn.execute(
             "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-            (str(version),))
+            (str(SCHEMA_VERSION),))
 
     @property
     def schema_version(self) -> int:
         """Schema version of the open store (always the current one)."""
         with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-        return int(row[0])
+            return int(self._stored_version())
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -233,53 +261,36 @@ class ResultStore:
 
     # -- core mapping -------------------------------------------------------
 
-    def put(self, key: "RunKey", result: "ExperimentResult") -> None:
+    def put(self, key: "RunKey", result: "ExperimentResult", *,
+            engine: Optional[str] = None) -> None:
         """Atomically upsert one completed run under its memo key.
 
         Provenance (executing engine, kernel backend, wall time) is
-        read from the result's ``engine_profile`` when present; the
-        package version and a wall-clock timestamp are stamped at
-        insert time.  Re-putting an existing key replaces the row — the
-        simulator is deterministic, so a replacement is byte-identical
-        content refreshed with current provenance.
+        read from the result's ``engine_profile`` when present;
+        ``engine`` names the engine that ran a result without a
+        profile (a ``legacy`` run).  The package version and a
+        wall-clock timestamp are stamped at insert time.  Re-putting an
+        existing key replaces the row — the simulator is deterministic,
+        so a replacement is byte-identical content refreshed with
+        current provenance.
         """
         from repro import __version__
 
-        digest, system, config, engine = key
         payload, checksum = _encode(result)
         profile = getattr(result.stats, "engine_profile", None) or {}
+        values = (*key, result.workload,
+                  int(result.stats.execution_time),
+                  int(result.stats.total_remote_misses),
+                  int(result.stats.network_messages),
+                  int(result.stats.network_bytes),
+                  payload, checksum,
+                  profile.get("engine") or engine,
+                  profile.get("backend"),
+                  __version__,
+                  profile.get("wall_s"),
+                  time.time())
         with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT INTO results (digest, system, config, engine, "
-                "workload, execution_time, remote_misses, network_messages, "
-                "network_bytes, payload, checksum, engine_used, backend, "
-                "package_version, wall_s, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT (digest, system, config, engine) DO UPDATE SET "
-                "workload = excluded.workload, "
-                "execution_time = excluded.execution_time, "
-                "remote_misses = excluded.remote_misses, "
-                "network_messages = excluded.network_messages, "
-                "network_bytes = excluded.network_bytes, "
-                "payload = excluded.payload, "
-                "checksum = excluded.checksum, "
-                "engine_used = excluded.engine_used, "
-                "backend = excluded.backend, "
-                "package_version = excluded.package_version, "
-                "wall_s = excluded.wall_s, "
-                "created_at = excluded.created_at",
-                (digest, system, config, engine,
-                 result.workload,
-                 int(result.stats.execution_time),
-                 int(result.stats.total_remote_misses),
-                 int(result.stats.network_messages),
-                 int(result.stats.network_bytes),
-                 payload, checksum,
-                 profile.get("engine") or engine,
-                 profile.get("backend"),
-                 __version__,
-                 profile.get("wall_s"),
-                 time.time()))
+            self._conn.execute(_UPSERT, values)
 
     def get(self, key: "RunKey") -> Optional["ExperimentResult"]:
         """The stored result for ``key``, or ``None``.
@@ -293,8 +304,7 @@ class ResultStore:
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload, checksum FROM results WHERE digest = ? "
-                "AND system = ? AND config = ? AND engine = ?",
-                key).fetchone()
+                "AND system = ? AND config = ?", key).fetchone()
         if row is None:
             return None
         payload, checksum = row
@@ -311,7 +321,7 @@ class ResultStore:
         with self._lock:
             row = self._conn.execute(
                 "SELECT 1 FROM results WHERE digest = ? AND system = ? "
-                "AND config = ? AND engine = ?", key).fetchone()
+                "AND config = ?", key).fetchone()
         return row is not None
 
     def __len__(self) -> int:
@@ -320,12 +330,12 @@ class ResultStore:
                 "SELECT COUNT(*) FROM results").fetchone()
         return int(count)
 
-    def keys(self) -> Iterator[Tuple[str, str, str, str]]:
+    def keys(self) -> Iterator[Tuple[str, str, str]]:
         """All stored run keys, in insertion-independent sorted order."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT digest, system, config, engine FROM results "
-                "ORDER BY digest, system, config, engine").fetchall()
+                "SELECT digest, system, config FROM results "
+                "ORDER BY digest, system, config").fetchall()
         return iter([tuple(r) for r in rows])
 
     # -- inspection (``repro store ls`` / ``export``) ------------------------
@@ -333,13 +343,13 @@ class ResultStore:
     def rows(self) -> List[Dict[str, object]]:
         """Metadata of every stored run — no payload is unpickled.
 
-        One JSON-ready dictionary per row: the four key columns, the
+        One JSON-ready dictionary per row: the three key columns, the
         workload name, the extracted headline metrics and the
-        provenance columns (``None`` for rows written by a v1 store).
+        provenance columns (``None`` where a migrated v1 row has none).
         """
         with self._lock:
             cur = self._conn.execute(
-                "SELECT digest, system, config, engine, workload, "
+                "SELECT digest, system, config, workload, "
                 "execution_time, remote_misses, network_messages, "
                 "network_bytes, length(payload), engine_used, backend, "
                 "package_version, wall_s, created_at FROM results "
@@ -356,20 +366,20 @@ class ResultStore:
         misses (and be recomputed/overwritten) rather than poison a
         sweep.
         """
-        corrupt: List[Tuple[str, str, str, str]] = []
+        corrupt: List[Tuple[str, str, str]] = []
         total = 0
         with self._lock:
             cur = self._conn.execute(
-                "SELECT digest, system, config, engine, payload, checksum "
+                "SELECT digest, system, config, payload, checksum "
                 "FROM results")
-            for digest, system, config, engine, payload, checksum in cur:
+            for digest, system, config, payload, checksum in cur:
                 total += 1
                 try:
                     if _checksum(payload) != checksum:
                         raise StoreError("checksum mismatch")
                     pickle.loads(zlib.decompress(payload))
                 except Exception:
-                    corrupt.append((digest, system, config, engine))
+                    corrupt.append((digest, system, config))
         return {"rows": total, "ok": total - len(corrupt),
                 "corrupt": corrupt}
 
@@ -381,15 +391,14 @@ class ResultStore:
         """
         with self._lock:
             cur = self._conn.execute(
-                "SELECT digest, system, config, engine, payload "
-                "FROM results")
-            payloads = {tuple(row[:4]): base64.b64encode(row[4]).decode()
+                "SELECT digest, system, config, payload FROM results")
+            payloads = {tuple(row[:3]): base64.b64encode(row[3]).decode()
                         for row in cur.fetchall()}
         out = []
         for row in self.rows():
-            key = (row["digest"], row["system"], row["config"], row["engine"])
             row = dict(row)
-            row["payload"] = payloads[key]
+            row["payload"] = payloads[
+                (row["digest"], row["system"], row["config"])]
             del row["payload_bytes"]
             out.append(row)
         return out
@@ -399,7 +408,7 @@ class ResultStore:
     def gc(self, *, max_age_s: Optional[float] = None,
            digests: Optional[List[str]] = None,
            everything: bool = False,
-           dry_run: bool = False) -> List[Tuple[str, str, str, str]]:
+           dry_run: bool = False) -> List[Tuple[str, str, str]]:
         """Delete rows by age or digest prefix; return the affected keys.
 
         Parameters
@@ -407,20 +416,28 @@ class ResultStore:
         max_age_s:
             Delete rows whose ``created_at`` is older than this many
             seconds (rows without a timestamp — migrated v1 rows —
-            count as infinitely old).
+            count as infinitely old).  Must not be negative.
         digests:
             Delete rows whose trace digest starts with any of these
-            (hex) prefixes — e.g. after deleting the trace files of a
-            retired workload.
+            prefixes — e.g. after deleting the trace files of a
+            retired workload.  Each prefix must be non-empty lowercase
+            hex and is matched literally.
         everything:
             Delete all rows (``repro store gc --all``).
         dry_run:
             Only report what would be deleted.
 
         With no criterion the call is a no-op — an accidental bare
-        ``gc`` must never empty the store.  Deletions are followed by a
-        ``VACUUM`` so the file actually shrinks.
+        ``gc`` must never empty the store — and an invalid criterion
+        raises :class:`ValueError` before anything is read.  Deletions
+        are followed by a ``VACUUM`` so the file actually shrinks.
         """
+        if max_age_s is not None and not max_age_s >= 0:
+            raise ValueError(f"max age must be >= 0 seconds, got {max_age_s}")
+        for prefix in digests or ():
+            if not _HEX_PREFIX.fullmatch(prefix):
+                raise ValueError(
+                    f"digest prefix {prefix!r} is not non-empty lowercase hex")
         clauses: List[str] = []
         params: List[object] = []
         if everything:
@@ -429,14 +446,14 @@ class ResultStore:
             clauses.append("(created_at IS NULL OR created_at < ?)")
             params.append(time.time() - max_age_s)
         for prefix in digests or ():
-            clauses.append("digest LIKE ?")
-            params.append(prefix + "%")
+            clauses.append("substr(digest, 1, ?) = ?")
+            params += [len(prefix), prefix]
         if not clauses:
             return []
         where = " OR ".join(clauses)
         with self._lock:
             victims = [tuple(r) for r in self._conn.execute(
-                "SELECT digest, system, config, engine FROM results "
+                "SELECT digest, system, config FROM results "
                 f"WHERE {where}", params).fetchall()]
             if victims and not dry_run:
                 with self._conn:
@@ -445,44 +462,14 @@ class ResultStore:
                 self._conn.execute("VACUUM")
         return victims
 
-    # -- journal reconciliation ----------------------------------------------
-
-    def reconcile_journal(self, journal: "SweepJournal") -> Dict[str, int]:
-        """Reconcile a (possibly torn) :class:`SweepJournal` with the store.
-
-        A journal and a store fed by the same sweep can disagree after
-        a torn write: a run checkpointed to the journal an instant
-        before the process died may never have reached the store (or
-        vice versa).  The resolution is fixed: **the store wins on key
-        match** (its rows are checksummed; the journal's lenient loader
-        may have recovered a stale line), and journal rows the store
-        has never seen are **backfilled** into it, so the store is a
-        superset of every surviving checkpoint afterwards.
-
-        Returns ``{"journal_rows": .., "backfilled": .., "store_wins": ..}``.
-        The journal file itself is not rewritten — it remains an
-        append-only log.
-        """
-        loaded = getattr(journal, "loaded", None) or {}
-        backfilled = store_wins = 0
-        for key, result in loaded.items():
-            if tuple(key) in self:
-                store_wins += 1
-            else:
-                self.put(tuple(key), result)
-                backfilled += 1
-        return {"journal_rows": len(loaded), "backfilled": backfilled,
-                "store_wins": store_wins}
-
     def __repr__(self) -> str:
         return f"ResultStore({str(self.path)!r}, {len(self)} rows)"
 
 
 def describe_key(key: "RunKey") -> Dict[str, str]:
     """JSON-ready view of one run key (``repro store ls --json``)."""
-    digest, system, config, engine = key
-    return {"digest": digest, "system": system, "config": config,
-            "engine": engine}
+    digest, system, config = key
+    return {"digest": digest, "system": system, "config": config}
 
 
 def dumps_export(store: ResultStore) -> str:

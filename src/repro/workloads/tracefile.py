@@ -39,7 +39,7 @@ Digests
 The whole-file digest in the footer is computed with *exactly* the
 scheme of the sweep memo key (:func:`trace_digest`, re-exported by the
 runner), so a :class:`StreamingTrace` plugs into :class:`SweepRunner`
-memoization, journals and resume without hashing a single stream byte —
+memoization and the result store without hashing a single stream byte —
 the digest rides in the header.  Each chunk additionally carries its own
 short blake2b digest so ``repro trace verify`` can pinpoint corruption.
 """
@@ -92,7 +92,7 @@ class TraceFileError(ValueError):
 def trace_digest(trace) -> str:
     """Content digest of a trace (streams, geometry and phase costs).
 
-    This is the canonical scheme behind every sweep memo/journal key
+    This is the canonical scheme behind every sweep memo/store key
     (:class:`repro.experiments.runner.SweepRunner`) **and** the
     whole-file digest stored in a trace file's footer — the two must
     stay byte-identical so file-backed and in-memory copies of the same

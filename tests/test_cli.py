@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.factory import SYSTEM_NAMES
+from repro.experiments.store import ResultStore
 from repro.kernel.placement import PLACEMENT_NAMES
 from repro.workloads import list_workloads
 
@@ -39,8 +40,7 @@ class TestParser:
             build_parser().parse_args(["run", "lu", "not-a-system"])
 
     @pytest.mark.parametrize("command", [["run", "lu", "ccnuma"],
-                                         ["figure5"], ["exp", "figure5"],
-                                         ["serve"]])
+                                         ["figure5"], ["exp", "figure5"]])
     def test_engine_help_names_the_kernel_default(self, command, capsys):
         with pytest.raises(SystemExit):
             main(command[:1] + ["--help"])
@@ -293,30 +293,26 @@ class TestExpCommand:
 
 
 class TestRobustnessCli:
-    """--journal/--resume/--retries/--run-timeout and clean-shm."""
+    """--store re-runs, --retries/--run-timeout and clean-shm."""
 
-    def test_exp_journal_then_resume_recomputes_nothing(self, capsys,
-                                                        tmp_path):
-        journal = tmp_path / "sweep.jsonl"
+    def test_exp_store_rerun_on_another_engine_recomputes_nothing(
+            self, capsys, tmp_path):
+        store = tmp_path / "sweep.sqlite"
         first_json = tmp_path / "first.json"
         second_json = tmp_path / "second.json"
         assert main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",
-                     "--journal", str(journal),
+                     "--engine", "legacy", "--store", str(store),
                      "--json", str(first_json)]) == 0
-        assert journal.exists()
+        assert store.exists()
         assert main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",
-                     "--journal", str(journal), "--resume",
+                     "--store", str(store),
                      "--json", str(second_json)]) == 0
         capsys.readouterr()
         first = json.loads(first_json.read_text())
         second = json.loads(second_json.read_text())
         assert second["rows"] == first["rows"]
         assert second["runner"]["runs"] == 0
-        assert second["runner"]["journal_hits"] > 0
-
-    def test_exp_resume_requires_journal(self, capsys):
-        assert main(["exp", "figure5", "--resume"]) == 2
-        assert "--journal" in capsys.readouterr().err
+        assert second["runner"]["store_hits"] == len(second["rows"])
 
     def test_exp_retry_and_timeout_flags_reach_the_runner(self):
         parser = build_parser()
@@ -425,10 +421,42 @@ class TestStoreCli:
         assert main(["store", "ls"]) == 2
         assert "REPRO_STORE" in capsys.readouterr().err
 
-    def test_exp_service_rejects_runner_flags(self, capsys):
-        assert main(["exp", "figure5", "--service", "/tmp/x.sock",
-                     "--jobs", "4"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert main(["exp", "figure5", "--service", "/tmp/x.sock",
-                     "--store", "s.sqlite"]) == 2
-        assert "--store" in capsys.readouterr().err
+    def test_store_ls_names_the_engine_that_ran(self, capsys, tmp_path):
+        store = tmp_path / "legacy.sqlite"
+        assert main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",
+                     "--systems", "ccnuma", "--engine", "legacy",
+                     "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert main(["store", "--store", str(store), "ls"]) == 0
+        header, _, *lines = capsys.readouterr().out.splitlines()
+        assert "engine_used" in header.split()
+        assert [line.split()[2] for line in lines[:-1]] == ["legacy"] * 2
+
+    @pytest.mark.parametrize("criterion", [["--digest", ""],
+                                           ["--digest", "_"],
+                                           ["--digest", "%"],
+                                           ["--digest", "AB"],
+                                           ["--max-age", "-1"]])
+    def test_store_gc_rejects_bad_criteria(self, capsys, tmp_path,
+                                           criterion):
+        store, first = self._populate(tmp_path)
+        capsys.readouterr()
+        assert main(["store", "--store", str(store), "gc",
+                     *criterion]) == 2
+        assert "error:" in capsys.readouterr().err
+        with ResultStore(store) as opened:
+            assert len(opened) == len(first["rows"])
+
+    def test_store_gc_by_digest_prefix(self, capsys, tmp_path):
+        store, first = self._populate(tmp_path)
+        with ResultStore(store) as opened:
+            digest = next(opened.keys())[0]
+        capsys.readouterr()
+        assert main(["store", "--store", str(store), "gc", "--dry-run",
+                     "--digest", digest[:6]]) == 0
+        out = capsys.readouterr().out
+        assert f"would remove {len(first['rows'])} row(s)" in out
+        flipped = "0" if digest[0] != "0" else "1"
+        assert main(["store", "--store", str(store), "gc",
+                     "--digest", flipped + digest[1:6]]) == 0
+        assert "removed 0 row(s)" in capsys.readouterr().out

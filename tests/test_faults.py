@@ -4,20 +4,24 @@ These tests drive :mod:`repro.experiments.faults` against the
 supervised :class:`~repro.experiments.runner.SweepRunner` to prove the
 robustness invariant: a parallel sweep whose workers crash, hang or
 raise still completes with results bit-identical to a fault-free run,
-and a killed sweep resumes from its journal without recomputing
-anything.
+and a killed sweep resumes from its result store without recomputing
+anything, leaving no orphaned worker behind.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.config import base_config
 from repro.experiments.faults import FaultPlan, InjectedFault
 from repro.experiments.runner import (
-    SweepJournal,
     SweepRunner,
     default_retries,
     default_run_timeout,
@@ -178,96 +182,134 @@ class TestSupervisedRecovery:
         _assert_bit_identical(results, clean_results[:2])
 
 
-class TestSweepJournal:
+class TestStoreResume:
     def test_resume_recomputes_nothing(self, cfg, lu_trace, clean_results,
                                        tmp_path):
-        journal = tmp_path / "sweep.jsonl"
+        store = tmp_path / "sweep.sqlite"
         items = [(lu_trace, s, cfg) for s in SYSTEMS]
-        with SweepRunner(jobs=1, journal=journal) as first:
+        with SweepRunner(jobs=1, store=store) as first:
             first.map_runs(items)
             assert first.stats.runs == len(SYSTEMS)
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
+        with SweepRunner(jobs=1, store=store) as second:
             results = second.map_runs(items)
             assert second.stats.runs == 0
-            assert second.stats.journal_hits == len(SYSTEMS)
+            assert second.stats.store_hits == len(SYSTEMS)
         _assert_bit_identical(results, clean_results)
 
-    def test_partial_journal_resumes_the_rest(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
+    def test_partial_store_resumes_the_rest(self, cfg, lu_trace, tmp_path):
+        store = tmp_path / "sweep.sqlite"
+        with SweepRunner(jobs=1, store=store) as first:
             first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[:2]])
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
+        with SweepRunner(jobs=1, store=store) as second:
             second.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
-            assert second.stats.journal_hits == 2
+            assert second.stats.store_hits == 2
             assert second.stats.runs == len(SYSTEMS) - 2
 
-    def test_torn_tail_record_is_skipped(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[:2]])
-        intact = journal.read_text().splitlines()
-        journal.write_text("\n".join(intact[:1] + [intact[1][: len(intact[1]) // 2]]) + "\n")
-        loaded = SweepJournal(journal, resume=True).loaded
-        assert len(loaded) == 1
-
-    def test_torn_tail_is_healed_on_append(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[:2]])
-        lines = journal.read_text().splitlines()
-        # a SIGKILL mid-write: half a record, no trailing newline
-        journal.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
-            second.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
-            assert second.stats.journal_hits == 1
-            assert second.stats.runs == len(SYSTEMS) - 1
-        # append healed the tail first, so the torn fragment stays on its
-        # own line and every checkpoint written after it parses cleanly
-        loaded = SweepJournal(journal, resume=True).loaded
-        assert len(loaded) == len(SYSTEMS)
-
-    def test_garbage_lines_are_skipped(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        journal.write_text("not json\n"
-                           + json.dumps({"v": 1, "key": ["a", "b", "c", "d"],
-                                         "result": "AAAA"}) + "\n")
-        assert SweepJournal(journal, resume=True).loaded == {}
-
-    def test_without_resume_truncates(self, cfg, lu_trace, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        with SweepRunner(jobs=1, journal=journal) as first:
-            first.map_runs([(lu_trace, "perfect", cfg)])
-        with SweepRunner(jobs=1, journal=journal) as second:
-            second.map_runs([(lu_trace, "perfect", cfg)])
-            assert second.stats.journal_hits == 0
-            assert second.stats.runs == 1
-
-    def test_journaling_survives_crashing_workers(self, cfg, lu_trace,
-                                                  clean_results, tmp_path,
-                                                  monkeypatch):
-        journal = tmp_path / "sweep.jsonl"
+    def test_checkpointing_survives_crashing_workers(self, cfg, lu_trace,
+                                                     clean_results, tmp_path,
+                                                     monkeypatch):
+        store = tmp_path / "sweep.sqlite"
         monkeypatch.setenv("REPRO_FAULTS", "crash=1.0")
-        with SweepRunner(jobs=2, journal=journal, backoff=0.01) as first:
+        with SweepRunner(jobs=2, store=store, backoff=0.01) as first:
             first.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
         monkeypatch.delenv("REPRO_FAULTS")
-        with SweepRunner(jobs=1, journal=journal, resume=True) as second:
+        with SweepRunner(jobs=1, store=store) as second:
             results = second.map_runs([(lu_trace, s, cfg) for s in SYSTEMS])
             assert second.stats.runs == 0
         _assert_bit_identical(results, clean_results)
 
-    def test_run_scenario_journal_round_trip(self, tmp_path):
-        journal = tmp_path / "scenario.jsonl"
-        first = run_scenario("figure5", apps=["lu"], scale=0.05,
-                             journal=journal)
-        second = run_scenario("figure5", apps=["lu"], scale=0.05,
-                              journal=journal, resume=True)
+    def test_run_scenario_store_round_trip(self, tmp_path):
+        store = tmp_path / "scenario.sqlite"
+        first = run_scenario("figure5", apps=["lu"], scale=0.05, store=store)
+        second = run_scenario("figure5", apps=["lu"], scale=0.05, store=store)
         assert second.rows == first.rows
         assert second.runner_stats["runs"] == 0
-        assert second.runner_stats["journal_hits"] > 0
+        assert second.runner_stats["store_hits"] == len(second.rows)
 
     def test_ensure_runner_rejects_conflicting_kwargs(self, tmp_path):
         with SweepRunner() as mine:
             with pytest.raises(ValueError):
-                ensure_runner(mine, journal=tmp_path / "j.jsonl")
-            same, owned = ensure_runner(mine, journal=None, resume=False)
+                ensure_runner(mine, store=tmp_path / "s.sqlite")
+            same, owned = ensure_runner(mine, store=None)
             assert same is mine and not owned
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from ``/proc``, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _child_pids(pid):
+    """Pids of ``pid``'s live children (read from ``/proc``)."""
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit()
+            and (_proc_stat(int(entry)) or ("Z", 0))[1] == pid]
+
+
+def _live(pids):
+    """The pids in ``pids`` still running (neither gone nor zombies)."""
+    return [pid for pid in pids
+            if (_proc_stat(pid) or ("Z",))[0] != "Z"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process tree from /proc")
+class TestKillResume:
+    def test_sigkilled_sweep_leaves_no_orphans_and_resumes(self, tmp_path):
+        """SIGKILL a ``-j2`` store sweep whose workers are mid-run.
+
+        The store already holds lu's runs; every ocean run hangs in a
+        worker when the sweep is killed.  The workers and the resource
+        tracker must exit with it, and the re-run must serve lu from the
+        store and execute only ocean.
+        """
+        import repro
+
+        store = tmp_path / "sweep.sqlite"
+        kwargs = {"apps": ["lu", "ocean"], "scale": 0.05}
+        run_scenario("figure5", apps=["lu"], scale=0.05, store=store)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, REPRO_FAULTS="hang=1.0",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        sweep = subprocess.Popen(
+            [sys.executable, "-m", "repro", "exp", "figure5",
+             "--apps", "lu,ocean", "--scale", "0.05", "--jobs", "2",
+             "--store", str(store)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            end = time.monotonic() + 60
+            while len(_child_pids(sweep.pid)) < 2:
+                assert sweep.poll() is None, "sweep exited before the kill"
+                assert time.monotonic() < end, "no pool workers appeared"
+                time.sleep(0.05)
+            time.sleep(0.5)   # let the workers take their hanging runs
+            children = _child_pids(sweep.pid)
+            sweep.kill()
+            sweep.wait(timeout=10)
+        finally:
+            if sweep.poll() is None:
+                sweep.kill()
+        # reparented to init, the pool and its resource tracker would
+        # otherwise hang for the injector's full hour
+        end = time.monotonic() + 10
+        while _live(children) and time.monotonic() < end:
+            time.sleep(0.2)
+        orphans = _live(children)
+        for pid in orphans:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"orphaned sweep children: {orphans}"
+
+        resumed = run_scenario("figure5", store=store, **kwargs)
+        lu_rows = sum(row["app"] == "lu" for row in resumed.rows)
+        assert resumed.runner_stats["store_hits"] == lu_rows
+        assert resumed.runner_stats["runs"] == len(resumed.rows) - lu_rows
+        assert resumed.rows == run_scenario("figure5", **kwargs).rows

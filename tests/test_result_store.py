@@ -2,9 +2,9 @@
 
 Covers the property that makes the store trustworthy — arbitrary
 results survive a store/load round trip bit-identically — plus key
-separation, the v1 -> v2 schema migration, corruption self-healing,
-garbage collection, export, journal reconciliation (including a torn
-journal tail) and concurrent multi-connection access (WAL mode).
+separation (and the engine's absence from the key), the v1/v2 -> v3
+schema migrations, corruption self-healing, garbage collection, export
+and concurrent multi-connection access (WAL mode).
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import base_config
-from repro.experiments.runner import (
-    ExperimentResult,
-    SweepJournal,
-    SweepRunner,
-)
+from repro.experiments.runner import ExperimentResult, SweepRunner
 from repro.experiments.store import (
     SCHEMA_VERSION,
     ResultStore,
@@ -57,9 +53,8 @@ def make_result(workload="lu", system="ccnuma", seed=0, execution_time=1000,
                             config=base_config(seed=seed), stats=stats)
 
 
-def make_key(digest="aa" * 8, system="ccnuma", config="cfg0",
-             engine="batched"):
-    return (digest, system, config, engine)
+def make_key(digest="aa" * 8, system="ccnuma", config="cfg0"):
+    return (digest, system, config)
 
 
 @pytest.fixture()
@@ -140,12 +135,25 @@ class TestRoundTrip:
 
 
 class TestKeySeparation:
-    def test_engines_are_separate_rows(self, store):
-        store.put(make_key(engine="batched"), make_result(execution_time=1))
-        store.put(make_key(engine="legacy"), make_result(execution_time=2))
-        assert len(store) == 2
-        assert store.get(make_key(engine="batched")).stats.execution_time == 1
-        assert store.get(make_key(engine="legacy")).stats.execution_time == 2
+    def test_legacy_filled_store_serves_a_kernel_runner(self, tmp_path):
+        """The engine is provenance, not key: any engine's rows serve all."""
+        cfg = base_config(seed=0)
+        trace = get_workload("lu", machine=cfg.machine, scale=0.05, seed=0)
+        items = [(trace, system, cfg) for system in ("perfect", "rnuma")]
+        path = tmp_path / "results.sqlite"
+        with SweepRunner(engine="legacy", store=path) as legacy:
+            legacy.map_runs(items)
+        with ResultStore(path) as filled:
+            assert [r["engine_used"] for r in filled.rows()] == ["legacy"] * 2
+        with SweepRunner(engine="kernel", store=path) as kernel:
+            served = kernel.map_runs(items)
+            assert kernel.stats.runs == 0
+            assert kernel.stats.store_hits == len(items)
+        with SweepRunner(engine="kernel") as direct:
+            fresh = direct.map_runs(items)
+        for got, want in zip(served, fresh):
+            assert got.summary() == want.summary()
+            assert got.stats.stall_breakdown == want.stats.stall_breakdown
 
     def test_systems_configs_digests_are_separate(self, store):
         keys = [make_key(digest="11" * 8), make_key(system="rnuma"),
@@ -181,49 +189,92 @@ CREATE TABLE results (
 """
 
 
-def _write_v1_store(path, key, result):
-    """Create a store file exactly as schema v1 wrote it."""
+_V2_COLUMNS_DDL = ("engine_used TEXT", "backend TEXT",
+                   "package_version TEXT", "wall_s REAL", "created_at REAL")
+
+
+def _write_old_store(path, version, entries):
+    """Create a store file exactly as schema ``version`` (1 or 2) wrote it.
+
+    ``entries`` are ``(engine, result, created_at)``, all under
+    :func:`make_key` plus the old ``engine`` key column; v1 files drop
+    the timestamp (v1 had no provenance columns).
+    """
     import hashlib
 
-    payload = zlib.compress(pickle.dumps(result,
-                                         protocol=pickle.HIGHEST_PROTOCOL))
-    checksum = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    ddl = _V1_RESULTS_DDL
+    if version == 2:
+        ddl = ddl.replace("    PRIMARY KEY", "".join(
+            f"    {column},\n" for column in _V2_COLUMNS_DDL)
+            + "    PRIMARY KEY")
     conn = sqlite3.connect(str(path))
     with conn:
         conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, "
                      "value TEXT NOT NULL)")
-        conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
-        conn.execute(_V1_RESULTS_DDL)
-        conn.execute(
-            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (*key, result.workload, int(result.stats.execution_time),
-             int(result.stats.total_remote_misses),
-             int(result.stats.network_messages),
-             int(result.stats.network_bytes), payload, checksum))
+        conn.execute("INSERT INTO meta VALUES ('schema_version', ?)",
+                     (str(version),))
+        conn.execute(ddl)
+        for engine, result, created_at in entries:
+            payload = zlib.compress(
+                pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+            checksum = hashlib.blake2b(payload, digest_size=16).hexdigest()
+            row = (*make_key(), engine, result.workload,
+                   int(result.stats.execution_time),
+                   int(result.stats.total_remote_misses),
+                   int(result.stats.network_messages),
+                   int(result.stats.network_bytes), payload, checksum)
+            if version == 2:
+                row += (engine, None, "1.8.0", 0.5, created_at)
+            conn.execute(f"INSERT INTO results VALUES "
+                         f"({', '.join('?' * len(row))})", row)
     conn.close()
+
+
+def _write_v1_store(path, result):
+    _write_old_store(path, 1, [("batched", result, None)])
 
 
 class TestSchemaMigration:
     def test_v1_store_opens_and_migrates(self, tmp_path):
         path = tmp_path / "v1.sqlite"
         result = make_result(execution_time=777)
-        _write_v1_store(path, make_key(), result)
+        _write_v1_store(path, result)
         with ResultStore(path) as store:
             assert store.schema_version == SCHEMA_VERSION
             # the v1 row survives the migration and reads back intact
             assert store.get(make_key()) == result
             (row,) = store.rows()
-            # pre-migration rows carry no provenance
-            assert row["engine_used"] is None
+            # pre-migration rows carry no provenance beyond the engine
+            # their old key named
+            assert row["engine_used"] == "batched"
             assert row["package_version"] is None
             # new rows written post-migration do
             store.put(make_key(config="cfg1"), make_result())
             new_row = [r for r in store.rows() if r["config"] == "cfg1"][0]
             assert new_row["package_version"] is not None
 
+    def test_v2_run_under_two_engines_collapses_to_the_newest(self,
+                                                              tmp_path):
+        path = tmp_path / "v2.sqlite"
+        newer = make_result(execution_time=2)
+        _write_old_store(path, 2, [
+            ("legacy", newer, 200.0),
+            ("batched", make_result(execution_time=1), 100.0)])
+        with ResultStore(path) as store:
+            assert store.schema_version == SCHEMA_VERSION
+            assert list(store.keys()) == [make_key()]
+            assert store.get(make_key()) == newer
+            (row,) = store.rows()
+            assert row["engine_used"] == "legacy"
+            assert row["created_at"] == 200.0
+            assert row["package_version"] == "1.8.0"
+            columns = {r[1] for r in store._conn.execute(
+                "PRAGMA table_info(results)")}
+            assert "engine" not in columns
+
     def test_migration_is_persistent(self, tmp_path):
         path = tmp_path / "v1.sqlite"
-        _write_v1_store(path, make_key(), make_result())
+        _write_v1_store(path, make_result())
         ResultStore(path).close()
         conn = sqlite3.connect(str(path))
         (version,) = conn.execute(
@@ -325,8 +376,21 @@ class TestInspection:
     def test_gc_by_age(self, store):
         store.put(make_key(), make_result())
         assert store.gc(max_age_s=3600.0) == []
-        removed = store.gc(max_age_s=-1.0)   # everything is older than -1s
+        with store._lock, store._conn:
+            store._conn.execute(
+                "UPDATE results SET created_at = created_at - 7200")
+        removed = store.gc(max_age_s=3600.0)
         assert len(removed) == 1 and len(store) == 0
+
+    @pytest.mark.parametrize("criterion", [
+        {"digests": [""]}, {"digests": ["_"]}, {"digests": ["%"]},
+        {"digests": ["1_"]}, {"digests": ["AA"]}, {"digests": ["11", "g"]},
+        {"max_age_s": -1.0}])
+    def test_gc_rejects_invalid_criteria(self, store, criterion):
+        store.put(make_key(), make_result())
+        with pytest.raises(ValueError):
+            store.gc(**criterion)
+        assert len(store) == 1
 
     def test_export_is_full_fidelity(self, store):
         result = make_result()
@@ -340,88 +404,7 @@ class TestInspection:
 
     def test_describe_key(self):
         assert describe_key(make_key()) == {
-            "digest": "aa" * 8, "system": "ccnuma", "config": "cfg0",
-            "engine": "batched"}
-
-
-# ---------------------------------------------------------------------------
-# journal reconciliation
-# ---------------------------------------------------------------------------
-
-
-class TestJournalReconciliation:
-    def _journal_with(self, path, entries):
-        journal = SweepJournal(path)
-        for key, result in entries:
-            journal.append(key, result)
-        journal.close()
-
-    def test_store_wins_on_key_match(self, store, tmp_path):
-        jpath = tmp_path / "sweep.jsonl"
-        stale = make_result(execution_time=1)
-        fresh = make_result(execution_time=2)
-        self._journal_with(jpath, [(make_key(), stale)])
-        store.put(make_key(), fresh)
-        journal = SweepJournal(jpath, resume=True)
-        report = store.reconcile_journal(journal)
-        journal.close()
-        assert report == {"journal_rows": 1, "backfilled": 0,
-                          "store_wins": 1}
-        assert store.get(make_key()).stats.execution_time == 2
-
-    def test_journal_only_rows_are_backfilled(self, store, tmp_path):
-        jpath = tmp_path / "sweep.jsonl"
-        only = make_result(execution_time=9)
-        self._journal_with(jpath, [(make_key(), only)])
-        journal = SweepJournal(jpath, resume=True)
-        report = store.reconcile_journal(journal)
-        journal.close()
-        assert report["backfilled"] == 1
-        assert store.get(make_key()) == only
-
-    def test_torn_journal_tail_reconciles(self, store, tmp_path):
-        """Regression: a journal torn mid-record must not poison the store.
-
-        The torn trailing record is dropped by the journal's lenient
-        loader; every intact record before it is backfilled.
-        """
-        jpath = tmp_path / "sweep.jsonl"
-        self._journal_with(jpath, [
-            (make_key(config="cfg0"), make_result(execution_time=1)),
-            (make_key(config="cfg1"), make_result(execution_time=2)),
-        ])
-        # tear the file mid-way through the second record
-        data = jpath.read_bytes()
-        first_line_end = data.index(b"\n") + 1
-        jpath.write_bytes(data[:first_line_end + 40])
-        journal = SweepJournal(jpath, resume=True)
-        report = store.reconcile_journal(journal)
-        journal.close()
-        assert report["journal_rows"] == 1
-        assert report["backfilled"] == 1
-        assert store.get(make_key(config="cfg0")) is not None
-        assert store.get(make_key(config="cfg1")) is None
-
-    def test_runner_reconciles_on_resume(self, tmp_path):
-        """SweepRunner(journal=..., resume=True, store=...) backfills."""
-        cfg = base_config(seed=0)
-        trace = get_workload("lu", machine=cfg.machine, scale=0.05, seed=0)
-        jpath = tmp_path / "sweep.jsonl"
-        spath = tmp_path / "results.sqlite"
-        with SweepRunner(journal=jpath) as runner:
-            runner.run(trace, "ccnuma", cfg)
-        # resume the journal with a store that has never seen the run
-        with SweepRunner(journal=jpath, resume=True, store=spath) as runner:
-            result = runner.run(trace, "ccnuma", cfg)
-            assert runner.stats.runs == 0
-            assert runner.stats.journal_hits == 1
-        with ResultStore(spath) as store:
-            assert len(store) == 1
-            (key,) = store.keys()
-            # MessageStats objects compare by identity, so assert the
-            # round trip on the serialized form
-            assert pickle.dumps(store.get(key), protocol=4) == pickle.dumps(
-                result, protocol=4)
+            "digest": "aa" * 8, "system": "ccnuma", "config": "cfg0"}
 
 
 # ---------------------------------------------------------------------------
