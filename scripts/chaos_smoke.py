@@ -15,6 +15,10 @@ Two checks, both runnable locally:
     (the committed runs served from the store), then reruns once more
     and asserts zero runs were re-executed: every row is a store hit.
 
+Both sweeps cover two applications: the runner streams a sweep's
+traces, so faults strike while the second trace is still being built
+and its runs submitted.
+
 Exit code 0 means the invariants held.
 """
 
@@ -32,7 +36,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-APPS = ["lu"]
+APPS = ["lu", "ocean"]
 SCALE = "0.05"
 
 

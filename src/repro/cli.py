@@ -362,10 +362,19 @@ def _cmd_clean_shm(args: argparse.Namespace) -> int:
 
 
 def _store_path(args: argparse.Namespace) -> Optional[str]:
+    """The existing store a ``repro store`` subcommand reads, or None.
+
+    Unlike ``repro exp --store``, these subcommands never create a
+    store: a mistyped path would otherwise read as an empty one.
+    """
     path = _default_store(args)
     if not path:
         print("error: no store given (use --store PATH or set "
               f"{STORE_ENV_VAR})", file=sys.stderr)
+        return None
+    if not os.path.exists(path):
+        print(f"error: no store at {path}", file=sys.stderr)
+        return None
     return path
 
 

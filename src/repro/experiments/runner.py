@@ -59,6 +59,7 @@ fresh process, it executes only what the store does not hold.
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
 import tempfile
@@ -74,7 +75,17 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.cluster.machine import Machine
 from repro.config import SimulationConfig, base_config
@@ -549,6 +560,9 @@ def _execute_file_run(trace_path: str, digest: str, system_name: str,
 #: engine is not part of it: the engines are bit-identical by contract.
 RunKey = Tuple[str, str, str]
 
+#: One run still to execute: (trace, system name, config).
+PendingRun = Tuple[Trace, str, SimulationConfig]
+
 
 @dataclass
 class RunnerStats:
@@ -852,7 +866,7 @@ class SweepRunner:
                           self.engine, attempt)
         return fut, LANE_NPZ
 
-    def _harvest(self, key: RunKey, payload, lane: str) -> ExperimentResult:
+    def _harvest(self, key: RunKey, payload, lane: str) -> None:
         """Fold one completed worker payload into the stats and the store."""
         if lane == LANE_SHM:
             result, attached = payload
@@ -868,142 +882,152 @@ class SweepRunner:
                 self.stats.worker_reuse += 1
         else:
             result = payload
-        return self._record(key, result)
+        self._record(key, result)
 
-    def _record(self, key: RunKey, result: ExperimentResult) -> ExperimentResult:
-        """Count one executed run and commit it to the store."""
+    def _record(self, key: RunKey, result: ExperimentResult) -> None:
+        """Count one executed run, memoize it and commit it to the store."""
         self.stats.note_profile(result.stats.engine_profile)
         if self.store is not None:
             self.store.put(key, result, engine=self.engine)
-        return result
+        self._memo[key] = result
 
-    def _run_supervised(self, pending: Dict[RunKey, Tuple[Trace, str,
-                                                          SimulationConfig]]
-                        ) -> Dict[RunKey, ExperimentResult]:
-        """Execute ``pending`` across the worker pool under supervision.
+    def _run_supervised(self, runs: Iterable[Tuple[RunKey, PendingRun]]
+                        ) -> None:
+        """Execute ``runs`` across the worker pool under supervision.
 
-        Futures are harvested as they complete, so results finished
-        before a crash are never lost (and are already in the store).
-        Failed runs are classified and retried in *waves*: each wave
-        submits everything still missing, sleeps a capped exponential
-        backoff first, and walks repeat offenders down the lane ladder
-        (shm → npz → inline).  Worker
-        crashes break the whole ``ProcessPoolExecutor``; blame is
-        assigned to the runs observed executing at the break (or to all
-        unharvested runs of the wave when none were observed, which
-        guarantees progress), everything else retries for free.  The
-        inline lane runs in this process — it cannot crash the sweep,
-        and any exception it raises is a genuine simulation error and
-        propagates.
+        The first wave streams: each run is submitted as it arrives, and
+        the futures that finished meanwhile are harvested between
+        arrivals, so the pool simulates while the caller builds the next
+        trace.  Futures are harvested as they complete, so results
+        finished before a crash are never lost (and are already in the
+        store).  Failed runs are classified and retried in later
+        *waves*: each sleeps a capped exponential backoff first, submits
+        everything still missing and walks repeat offenders down the
+        lane ladder (shm → npz → inline).  Worker crashes break the
+        whole ``ProcessPoolExecutor``; blame is assigned to the runs
+        observed executing at the break (or to all unharvested runs of
+        the wave when none were observed, which guarantees progress),
+        everything else retries for free, and runs that arrive after the
+        first wave broke wait for the second.  The inline lane runs in
+        this process — it cannot crash the sweep, and any exception it
+        raises is a genuine simulation error and propagates.
         """
-        executed: Dict[RunKey, ExperimentResult] = {}
-        attempts: Dict[RunKey, int] = {key: 0 for key in pending}
+        todo: Dict[RunKey, PendingRun] = {}
+        attempts: Dict[RunKey, int] = {}
         lanes: Dict[RunKey, str] = {}
-        todo: Set[RunKey] = set(pending)
+        # the current wave: future -> (key, lane), and what was seen of it
+        futures: Dict[Future, Tuple[RunKey, str]] = {}
+        inflight: Set[Future] = set()
+        started: Dict[Future, float] = {}
+        penalized: Set[RunKey] = set()
+
+        def penalize(key: RunKey) -> None:
+            if key not in penalized:
+                penalized.add(key)
+                attempts[key] += 1
+                self.stats.retries += 1
+
+        def reap(timeout: float) -> bool:
+            """Harvest finished futures; True once the wave is broken."""
+            done, _ = wait(inflight, timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            inflight.difference_update(done)
+            now = time.monotonic()
+            for fut in inflight:
+                if fut not in started and fut.running():
+                    started[fut] = now
+            broke = False
+            for fut in done:
+                key, lane = futures[fut]
+                try:
+                    payload = fut.result()
+                except BrokenExecutor:
+                    broke = True   # blame assigned by collapse()
+                except Exception as exc:
+                    # the run itself raised (e.g. an injected poison
+                    # fault or a transient MemoryError): retry it; a
+                    # deterministic error resurfaces on the inline
+                    # lane and propagates from there
+                    self.stats.run_errors += 1
+                    penalize(key)
+                    del exc
+                else:
+                    self._harvest(key, payload, lane)
+                    del todo[key]
+            if broke or self.run_timeout is None:
+                return broke
+            expired = [f for f in inflight if f in started
+                       and now - started[f] >= self.run_timeout]
+            for fut in expired:
+                self.stats.timeouts += 1
+                penalize(futures[fut][0])
+            return bool(expired)   # surviving runs retry for free
+
+        def collapse() -> None:
+            """Kill the broken or hung pool and charge the runs it held."""
+            self._kill_pool()
+            victims = {key for key, _ in futures.values()} & todo.keys()
+            observed = ({futures[f][0] for f in started} & victims) - penalized
+            for key in observed or (victims - penalized):
+                self.stats.crashes += 1
+                penalize(key)
+
+        batch: Iterable[Tuple[RunKey, PendingRun]] = runs
         wave = 0
-
-        def penalize(key: RunKey, penalized: Set[RunKey]) -> None:
-            if key in penalized:
-                return
-            penalized.add(key)
-            attempts[key] += 1
-            self.stats.retries += 1
-
-        while todo:
-            if wave and self.backoff > 0:
-                time.sleep(min(self.backoff_cap,
-                               self.backoff * (2 ** (wave - 1))))
+        while True:
             wave += 1
             prefer_shm = (not self._shm_broken
                           and not os.environ.get(NO_SHM_ENV_VAR))
-            wave_lane: Dict[RunKey, str] = {}
-            for key in todo:
+            futures.clear()
+            inflight.clear()
+            started.clear()
+            penalized.clear()
+            broke = False
+            for key, run in batch:
+                if key not in attempts:   # a first-wave arrival
+                    todo[key] = run
+                    attempts[key] = 0
+                if broke:
+                    continue   # the rest wait for the next wave
                 lane = self._lane_for(attempts[key], prefer_shm)
                 prev = lanes.get(key)
                 if prev is not None and lane != prev:
                     self.stats.degradations += 1
                 lanes[key] = lane
-                wave_lane[key] = lane
-
-            futures: Dict[Future, RunKey] = {}
-            fut_lane: Dict[Future, str] = {}
-            pool_keys = [k for k in todo if wave_lane[k] != LANE_INLINE]
-            inline_keys = [k for k in todo if wave_lane[k] == LANE_INLINE]
-            if pool_keys:
-                pool = self._ensure_pool()
-                for key in pool_keys:
-                    trace, name, cfg = pending[key]
+                trace, name, cfg = run
+                if lane == LANE_INLINE:
+                    # the inline lane executes here, while the pool works
+                    self._record(key, _execute_run(trace, name, cfg,
+                                                   self.engine))
+                    del todo[key]
+                else:
                     try:
                         fut, lane = self._submit_worker(
-                            pool, key, trace, name, cfg, wave_lane[key],
-                            attempts[key])
+                            self._ensure_pool(), key, trace, name, cfg,
+                            lane, attempts[key])
                     except BrokenExecutor:
-                        # pool died mid-submission: the submitted futures
-                        # resolve broken below; the rest retry next wave
-                        break
-                    futures[fut] = key
-                    fut_lane[fut] = lane
-                    self.stats.parallel_runs += 1
-
-            # the inline lane executes here, in parallel with the pool
-            for key in inline_keys:
-                trace, name, cfg = pending[key]
-                executed[key] = self._record(
-                    key, _execute_run(trace, name, cfg, self.engine))
-                todo.discard(key)
-
-            penalized: Set[RunKey] = set()
-            started: Dict[Future, float] = {}
-            broke = False
-            not_done: Set[Future] = set(futures)
-            while not_done:
-                poll = 0.05 if self.run_timeout is not None else 0.25
-                done, not_done = wait(not_done, timeout=poll,
-                                      return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-                for fut in not_done:
-                    if fut not in started and fut.running():
-                        started[fut] = now
-                for fut in done:
-                    key = futures[fut]
-                    try:
-                        payload = fut.result()
-                    except BrokenExecutor:
-                        broke = True   # blame assigned below
-                    except Exception as exc:
-                        # the run itself raised (e.g. an injected poison
-                        # fault or a transient MemoryError): retry it; a
-                        # deterministic error resurfaces on the inline
-                        # lane and propagates from there
-                        self.stats.run_errors += 1
-                        penalize(key, penalized)
-                        del exc
+                        # the pool died: its futures resolve broken
+                        broke = True
                     else:
-                        executed[key] = self._harvest(key, payload,
-                                                      fut_lane[fut])
-                        todo.discard(key)
-                if broke:
-                    break
-                if self.run_timeout is not None:
-                    expired = [f for f in not_done
-                               if f in started
-                               and now - started[f] >= self.run_timeout]
-                    if expired:
-                        for fut in expired:
-                            self.stats.timeouts += 1
-                            penalize(futures[fut], penalized)
-                        broke = True   # surviving runs retry for free
-                        break
-
-            if broke:
-                self._kill_pool()
-                victims = {futures[f] for f in futures} & todo
-                observed = ({futures[f] for f in started} & victims) - penalized
-                blamed = observed or (victims - penalized)
-                for key in blamed:
-                    self.stats.crashes += 1
-                    penalize(key, penalized)
-        return executed
+                        futures[fut] = (key, lane)
+                        inflight.add(fut)
+                        self.stats.parallel_runs += 1
+                if reap(0.0) or broke:
+                    broke = True
+                    collapse()
+            poll = 0.05 if self.run_timeout is not None else 0.25
+            while inflight and not broke:
+                if reap(poll):
+                    broke = True
+                    collapse()
+            if not todo:
+                return
+            if self.backoff > 0:
+                time.sleep(min(self.backoff_cap,
+                               self.backoff * (2 ** (wave - 1))))
+            # fewest attempts first: the inline lane runs after the
+            # wave's pool runs are submitted
+            batch = sorted(todo.items(), key=lambda item: attempts[item[0]])
 
     # -- execution ----------------------------------------------------------
 
@@ -1012,15 +1036,22 @@ class SweepRunner:
         """Run one (trace, system) pair through the memo table."""
         return self.map_runs([(trace, system, config)])[0]
 
-    def map_runs(self, items: Sequence[Tuple[Trace, Union[str, SystemSpec],
+    def map_runs(self, items: Iterable[Tuple[Trace, Union[str, SystemSpec],
                                              Optional[SimulationConfig]]]
                  ) -> List[ExperimentResult]:
-        """Run a batch of independent (trace, system, config) items.
+        """Run a stream of independent (trace, system, config) items.
 
-        Cache-missing items are deduplicated and executed — across the
-        supervised worker pool when ``jobs > 1`` — and every result lands
-        in the memo table (and the store, when one is attached).  The
-        returned list is aligned with ``items``.
+        ``items`` is consumed lazily, one item at a time.  Each is keyed
+        and served from the memo table or the store when either holds
+        it; otherwise it executes as it arrives — inline when
+        ``jobs == 1``, on the supervised worker pool otherwise.  An
+        iterator that builds its traces on demand therefore overlaps the
+        next trace's construction with the pool's simulations, and a
+        serial runner holds no trace past its last run.  The pool starts
+        once two runs are pending: a batch with a single pending run
+        executes inline.  Duplicate items execute once, and every
+        result lands in the memo table (and the store, when one is
+        attached).  The returned list is aligned with ``items``.
 
         Explicit :class:`SystemSpec` objects (rather than registry names)
         may carry arbitrary protocol factories, so they are executed
@@ -1028,62 +1059,79 @@ class SweepRunner:
         store — a customised spec can never be conflated with the
         registry system of the same name.
         """
-        keyed: List[Tuple[Optional[RunKey], Trace,
-                          Union[str, SystemSpec], SimulationConfig]] = []
-        for trace, system, config in items:
-            cfg = config if config is not None else base_config()
-            key = (self._key(trace, system, cfg)
-                   if isinstance(system, str) else None)
-            keyed.append((key, trace, system, cfg))
+        slots: List[Union[RunKey, ExperimentResult]] = []
+        pending = self._admit(items, slots)
+        if self.jobs > 1:
+            # the pool starts once two runs are pending: a batch with a
+            # single pending run executes inline below
+            head = list(itertools.islice(pending, 2))
+            pending = itertools.chain(head, pending)
+            if len(head) == 2:
+                del head
+                self._run_supervised(pending)   # drains the stream
+        for key, (trace, name, cfg) in pending:
+            self._record(key, _execute_run(trace, name, cfg, self.engine))
+            del trace   # free it before the next item is built
 
-        pending: Dict[RunKey, Tuple[Trace, str, SimulationConfig]] = {}
-        for key, trace, system, cfg in keyed:
-            if key is not None and key not in self._memo and key not in pending:
-                pending[key] = (trace, system, cfg)
-
-        self.stats.memo_hits += sum(1 for key, *_ in keyed
-                                    if key is not None and key in self._memo)
-
-        # consult the durable store before executing anything: hits are
-        # pulled into the memo table (so later batches hit the memo
-        # directly), misses execute below and are upserted on harvest
-        if self.store is not None and pending:
-            for key in list(pending):
-                stored = self.store.get(key)
-                if stored is not None:
-                    self._memo[key] = stored
-                    self.stats.store_hits += 1
-                    del pending[key]
-                else:
-                    self.stats.store_misses += 1
-
-        if pending:
-            self.stats.runs += len(pending)
-            if self.jobs > 1 and len(pending) > 1:
-                for key, result in self._run_supervised(pending).items():
-                    self._memo[key] = result
-            else:
-                for key, (trace, name, cfg) in pending.items():
-                    self._memo[key] = self._record(
-                        key, _execute_run(trace, name, cfg, self.engine))
-
-        results = []
-        for key, trace, system, cfg in keyed:
-            if key is not None:
-                results.append(self._memo[key])
-            else:
-                # explicit SystemSpec: fresh, unmemoized inline run
-                self.stats.runs += 1
-                machine = Machine(cfg, system)
-                stats = machine.run(trace, engine=self.engine)
-                self.stats.note_profile(stats.engine_profile)
-                results.append(ExperimentResult(workload=trace.name,
-                                                system=system.name,
-                                                config=cfg, stats=stats))
+        results = [slot if isinstance(slot, ExperimentResult)
+                   else self._memo[slot] for slot in slots]
         if not self.memoize:
             self._memo.clear()
             self._trace_keys.clear()
         return results
+
+    def _admit(self, items: Iterable[Tuple[Trace, Union[str, SystemSpec],
+                                           Optional[SimulationConfig]]],
+               slots: List[Union[RunKey, ExperimentResult]]
+               ) -> Iterator[Tuple[RunKey, PendingRun]]:
+        """Key ``items`` as they arrive; yield each run still to execute.
+
+        Every item appends its slot to ``slots``: its key, or the result
+        of an explicit :class:`SystemSpec` run, which executes inline on
+        arrival.  A key that neither the memo table nor the store holds
+        is yielded once, however often it recurs in the batch; only
+        items whose key the memo held before the batch count as memo
+        hits.
+        """
+        fresh: Set[RunKey] = set()
+        for trace, system, config in items:
+            cfg = config if config is not None else base_config()
+            if not isinstance(system, str):
+                slots.append(self._run_spec(trace, system, cfg))
+            else:
+                key = self._key(trace, system, cfg)
+                slots.append(key)
+                if key in fresh:
+                    pass   # a duplicate of a run this batch already owns
+                elif key in self._memo:
+                    self.stats.memo_hits += 1
+                else:
+                    fresh.add(key)
+                    if not self._load_stored(key):
+                        self.stats.runs += 1
+                        yield key, (trace, system, cfg)
+            del trace   # hold no trace while the next item is built
+
+    def _load_stored(self, key: RunKey) -> bool:
+        """Pull ``key`` from the durable store into the memo table if held."""
+        if self.store is None:
+            return False
+        stored = self.store.get(key)
+        if stored is None:
+            self.stats.store_misses += 1
+            return False
+        self._memo[key] = stored
+        self.stats.store_hits += 1
+        return True
+
+    def _run_spec(self, trace: Trace, spec: SystemSpec,
+                  cfg: SimulationConfig) -> ExperimentResult:
+        """A fresh, unmemoized inline run of an explicit SystemSpec."""
+        self.stats.runs += 1
+        stats = Machine(cfg, spec).run(trace, engine=self.engine)
+        self.stats.note_profile(stats.engine_profile)
+        return ExperimentResult(workload=trace.name, system=spec.name,
+                                config=cfg, stats=stats)
 
     def iter_results(self) -> List[ExperimentResult]:
         """The memoized results accumulated so far (insertion order).

@@ -16,7 +16,7 @@ module factors the shape into three pieces:
 
 :func:`run_scenario`
     the one executor.  It expands the axes into independent cells,
-    submits them as a single batch to a
+    streams them app by app, as a single lazy batch, through a
     :class:`repro.experiments.runner.SweepRunner` (parallel across
     processes, memoized by trace/config digest) and assembles the flat
     result rows.  Runtime keyword arguments override any axis, which is
@@ -44,6 +44,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -556,9 +557,12 @@ def run_scenario(scenario: Union[str, Scenario], *,
         One flat row per executed (app, system, config, scale, seed)
         cell, baseline rows included.
 
-    All cells are submitted to the runner as one batch, so the plan runs
-    fully parallel under a multi-process :class:`SweepRunner` and repeated
-    cells (e.g. a baseline shared between scenarios) are memoized.
+    The cells stream through the runner as one batch, app by app: each
+    app's traces are built just before its first cell and released after
+    its last, so a multi-process :class:`SweepRunner` simulates one app
+    while the next app's trace is built, a serial one holds a single
+    app's traces at a time, and repeated cells (e.g. a baseline shared
+    between scenarios) are memoized.
     """
     scn = get_scenario(scenario) if isinstance(scenario, str) else scenario
 
@@ -637,28 +641,32 @@ def run_scenario(scenario: Union[str, Scenario], *,
                     for system in system_names:
                         add(app, system, key, sc, sd)
 
-    # -- build traces (one per distinct (app, scale, seed, machine)) --------
+    # -- stream the cells through the runner, app by app --------------------
     make_trace = scn.trace_factory or (
         lambda app, machine, sc, sd: get_workload(app, machine=machine,
                                                   scale=sc, seed=sd))
-    traces: Dict[Tuple, Trace] = {}
 
-    def trace_for(app: str, key: Any, sc: float, sd: int) -> Trace:
-        machine = cfgs[(key, sd)].machine
-        tkey = (app, sc, sd, machine)
-        if tkey not in traces:
-            traces[tkey] = make_trace(app, machine, sc, sd)
-        return traces[tkey]
+    def cell_items() -> Iterator[Tuple[Trace, str, SimulationConfig]]:
+        # each (app, scale, seed)'s cells are contiguous, so only its
+        # traces (one per machine) are kept: each is built just before
+        # its first cell, and dropped before the next app's are built
+        traces: Dict[MachineConfig, Trace] = {}
+        group = None
+        for app, system, key, sc, sd in cells:
+            cfg = cfgs[(key, sd)]
+            if (app, sc, sd) != group:
+                group = (app, sc, sd)
+                traces.clear()
+            if cfg.machine not in traces:
+                traces[cfg.machine] = make_trace(app, cfg.machine, sc, sd)
+            yield traces[cfg.machine], system, cfg
 
-    # -- one batch through the runner ---------------------------------------
     runner, owned = ensure_runner(runner, store=store)
     try:
         # report only this plan's share of a (possibly shared) runner's
         # counters: the delta across the batch, not the lifetime totals
         stats_before = runner.stats.as_dict()
-        results = runner.map_runs([
-            (trace_for(app, key, sc, sd), system, cfgs[(key, sd)])
-            for app, system, key, sc, sd in cells])
+        results = runner.map_runs(cell_items())
 
         def _delta(after, before):
             # bail_kinds is a nested {kind: count} dict; everything

@@ -182,19 +182,35 @@ class TraceGenerator:
     # ------------------------------------------------------------------ phase generation
 
     def _touch_phase(self, rng: np.random.Generator, phase: Phase) -> PhaseTrace:
-        """Build an initialisation phase: owners write their pages once."""
-        blocks: List[List[int]] = [[] for _ in range(self.num_procs)]
+        """Build an initialisation phase: owners write their pages once.
+
+        Each page is written ``touches_per_page`` times at random block
+        offsets.  A group's offsets are drawn in one ``(pages, touches)``
+        call, which yields the same numbers in the same order as one call
+        per page (the block count per page is a power of two, so no draw
+        is rejected and the even touch count uses whole 64-bit words),
+        and a stable sort by owner hands every processor its blocks in
+        group and page order.
+        """
         touches_per_page = 4
+        blocks: List[np.ndarray] = []
+        owners: List[np.ndarray] = []
         for gname in phase.touch_groups:
             layout = self.layouts[gname]
-            for page in range(layout.base_page, layout.end_page):
-                owner = self.owner_proc_of_page(gname, page)
-                offsets = rng.integers(0, self.blocks_per_page,
-                                       size=touches_per_page)
-                base = page * self.blocks_per_page
-                blocks[owner].extend((base + int(o)) for o in offsets)
-        block_arrays = [np.asarray(b, dtype=np.int64) for b in blocks]
-        write_arrays = [np.ones(len(b), dtype=np.uint8) for b in blocks]
+            pages = np.arange(layout.base_page, layout.end_page, dtype=np.int64)
+            offsets = rng.integers(0, self.blocks_per_page,
+                                   size=(pages.size, touches_per_page))
+            blocks.append((pages[:, None] * self.blocks_per_page
+                           + offsets).ravel())
+            owner = [self.owner_proc_of_page(gname, page)
+                     for page in range(layout.base_page, layout.end_page)]
+            owners.append(np.repeat(np.asarray(owner, dtype=np.int64),
+                                    touches_per_page))
+        owner_of = np.concatenate(owners)
+        by_owner = np.concatenate(blocks)[np.argsort(owner_of, kind="stable")]
+        counts = np.bincount(owner_of, minlength=self.num_procs)
+        block_arrays = np.split(by_owner, np.cumsum(counts)[:-1])
+        write_arrays = [np.ones(len(b), dtype=np.uint8) for b in block_arrays]
         return PhaseTrace(name=phase.name,
                           compute_per_access=phase.compute_per_access,
                           blocks=block_arrays, writes=write_arrays)

@@ -421,6 +421,34 @@ class TestStoreCli:
         assert main(["store", "ls"]) == 2
         assert "REPRO_STORE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["ls"], ["verify"], ["gc", "--all"],
+                                         ["export"]])
+    def test_store_refuses_a_missing_path(self, capsys, tmp_path, command):
+        missing = tmp_path / "nodir" / "typo.sqlite"
+        assert main(["store", "--store", str(missing), *command]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert "row(s)" not in captured.out
+        assert not missing.exists()
+        assert not missing.parent.exists()
+
+    def test_store_refuses_a_missing_env_path(self, capsys, tmp_path,
+                                              monkeypatch):
+        missing = tmp_path / "typo.sqlite"
+        monkeypatch.setenv("REPRO_STORE", str(missing))
+        assert main(["store", "verify"]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_exp_store_still_creates_a_new_store(self, capsys, tmp_path):
+        fresh = tmp_path / "new" / "fresh.sqlite"
+        assert main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",
+                     "--systems", "ccnuma", "--store", str(fresh)]) == 0
+        capsys.readouterr()
+        assert fresh.exists()
+        assert main(["store", "--store", str(fresh), "verify"]) == 0
+        assert "2/2 row(s) ok" in capsys.readouterr().out
+
     def test_store_ls_names_the_engine_that_ran(self, capsys, tmp_path):
         store = tmp_path / "legacy.sqlite"
         assert main(["exp", "figure5", "--apps", "lu", "--scale", "0.05",

@@ -161,6 +161,72 @@ class TestSupervisedRecovery:
                                    runner=runner)
         assert faulted.rows == clean.rows
 
+    def test_faults_across_streamed_traces_bit_identical(self, monkeypatch):
+        kwargs = {"apps": ["lu", "ocean", "radix"], "scale": 0.05}
+        clean = run_scenario("figure5", **kwargs)
+        monkeypatch.setenv("REPRO_FAULTS", "crash=0.3,error=0.2")
+        with SweepRunner(jobs=2, backoff=0.01) as runner:
+            faulted = run_scenario("figure5", runner=runner, **kwargs)
+            assert runner.stats.crashes >= 1
+            assert runner.stats.run_errors >= 1
+        assert faulted.rows == clean.rows
+
+    def test_pool_breaking_mid_stream_still_runs_later_items(
+            self, cfg, lu_trace, monkeypatch):
+        # every first attempt kills its worker; the second trace's items
+        # arrive only once the pool is seen broken, so they reach a
+        # first wave whose pool already died
+        ocean = get_workload("ocean", machine=cfg.machine, scale=0.05,
+                             seed=0)
+        first = [(lu_trace, system, cfg) for system in SYSTEMS[:2]]
+        later = [(ocean, system, cfg) for system in SYSTEMS[:2]]
+        broken_on_arrival = []
+
+        def items(runner):
+            yield from first
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline and not getattr(
+                    runner._pool, "_broken", False):
+                time.sleep(0.02)
+            broken_on_arrival.append(
+                bool(getattr(runner._pool, "_broken", False)))
+            yield from later
+
+        monkeypatch.setenv("REPRO_FAULTS", "crash=1.0")
+        with SweepRunner(jobs=2, backoff=0.01) as runner:
+            results = runner.map_runs(items(runner))
+            assert runner.stats.crashes >= 1
+        assert broken_on_arrival == [True]
+        monkeypatch.delenv("REPRO_FAULTS")
+        with SweepRunner(jobs=1) as serial:
+            reference = serial.map_runs(first + later)
+        _assert_bit_identical(results, reference)
+
+    def test_pool_broken_between_batches_is_replaced(self, cfg, lu_trace,
+                                                     clean_results):
+        import threading
+
+        with SweepRunner(jobs=2, backoff=0.01) as runner:
+            runner.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[:2]])
+            for proc in list(runner._pool._processes.values()):
+                os.kill(proc.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while (not runner._pool._broken
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert runner._pool._broken
+            # the next batch's first submit meets the dead pool; run it
+            # on a thread so a runner that keeps resubmitting fails the
+            # test instead of hanging it
+            done = []
+            worker = threading.Thread(daemon=True, target=lambda: done.append(
+                runner.map_runs([(lu_trace, s, cfg) for s in SYSTEMS[2:]])))
+            worker.start()
+            worker.join(30)
+            assert done, "the batch never finished on a broken pool"
+            assert runner.stats.crashes == 0
+        _assert_bit_identical(done[0], clean_results[2:])
+
     def test_genuine_error_propagates_after_ladder(self, cfg, lu_trace):
         # an unregistered system fails deterministically on every lane,
         # including inline — the error must surface, not loop forever

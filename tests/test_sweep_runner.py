@@ -504,6 +504,113 @@ class TestBatchExecution:
         assert res.execution_time == direct.execution_time
 
 
+class TestStreamedBatches:
+    """map_runs consumes its items lazily and runs each as it arrives."""
+
+    def test_first_trace_runs_before_the_last_is_built(self, cfg):
+        submitted_before_last = []
+
+        def items(runner):
+            for seed in range(3):
+                if seed == 2:
+                    submitted_before_last.append(runner.stats.parallel_runs)
+                trace = get_workload("lu", machine=cfg.machine, scale=0.02,
+                                     seed=seed)
+                for system in ("perfect", "ccnuma"):
+                    yield trace, system, cfg
+
+        with SweepRunner(jobs=2) as runner:
+            par = runner.map_runs(items(runner))
+            assert runner.stats.parallel_runs == 6
+        assert submitted_before_last[0] > 0
+        with SweepRunner(jobs=1) as serial:
+            ser = serial.map_runs(list(items(serial)))
+        for a, b in zip(par, ser):
+            assert a.summary() == b.summary()
+
+    def test_single_pending_run_stays_inline(self, cfg, ocean_trace):
+        with SweepRunner(jobs=2) as runner:
+            runner.run(ocean_trace, "ccnuma", cfg)
+            results = runner.map_runs(
+                (ocean_trace, system, cfg)
+                for system in ("ccnuma", "rnuma", "ccnuma", "rnuma"))
+            assert runner.stats.parallel_runs == 0
+            assert runner._pool is None
+            assert runner.stats.runs == 2
+            assert runner.stats.memo_hits == 2
+        assert results[1] is results[3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_generator_matches_the_list_form(self, cfg, ocean_trace,
+                                             tmp_path, jobs):
+        from repro.core.factory import build_system
+
+        other = get_workload("lu", machine=cfg.machine, scale=0.02, seed=0)
+        spec = build_system("rnuma-half")
+        items = [(ocean_trace, "perfect", cfg),    # memo hit
+                 (ocean_trace, "ccnuma", cfg),     # store hit
+                 (other, "ccnuma", cfg),
+                 (ocean_trace, spec, cfg),         # explicit spec
+                 (other, "ccnuma", cfg),           # duplicate
+                 (ocean_trace, "ccnuma", cfg),     # duplicate store hit
+                 (other, "rnuma", cfg),
+                 (ocean_trace, "perfect", cfg),    # memo hit again
+                 (other, spec, cfg)]
+
+        def prepared(name):
+            store = tmp_path / f"{name}.sqlite"
+            with SweepRunner(jobs=1, store=store) as seed_runner:
+                seed_runner.run(ocean_trace, "ccnuma", cfg)
+            runner = SweepRunner(jobs=jobs, store=store)
+            runner.run(ocean_trace, "perfect", cfg)
+            return runner
+
+        with prepared("list") as listed:
+            want = listed.map_runs(items)
+            want_stats = listed.stats.as_dict()
+        with prepared("gen") as streamed:
+            got = streamed.map_runs(item for item in items)
+            got_stats = streamed.stats.as_dict()
+        assert len(got) == len(items)
+        for (trace, system, _), res in zip(items, got):
+            name = system if isinstance(system, str) else system.name
+            assert (res.workload, res.system) == (trace.name, name)
+        for a, b in zip(got, want):
+            assert a.summary() == b.summary()
+            assert a.stats.stall_breakdown == b.stats.stall_breakdown
+        assert got[4] is got[2] and got[5] is got[1]
+        for counter in ("runs", "memo_hits", "store_hits", "store_misses",
+                        "parallel_runs"):
+            assert got_stats[counter] == want_stats[counter], counter
+        assert got_stats["memo_hits"] == 2
+        assert got_stats["store_hits"] == 1
+
+    def test_serial_scenario_frees_each_trace_after_its_last_run(self):
+        import weakref
+
+        from repro.experiments.scenario import Scenario, run_scenario
+
+        built = {}
+        alive_when_built = {}
+
+        def factory(app, machine, scale, seed):
+            alive_when_built[app] = {name: ref() is not None
+                                     for name, ref in built.items()}
+            trace = get_workload(app, machine=machine, scale=scale,
+                                 seed=seed)
+            built[app] = weakref.ref(trace)
+            return trace
+
+        scn = Scenario(name="stream-free", title="stream-free",
+                       systems=("ccnuma", "rnuma"),
+                       apps=("lu", "ocean", "radix"), default_scale=0.02,
+                       trace_factory=factory)
+        with SweepRunner(jobs=1) as runner:
+            rs = run_scenario(scn, runner=runner)
+        assert len(rs.rows) == 9
+        assert alive_when_built["radix"] == {"lu": False, "ocean": False}
+
+
 class TestHarnessIntegration:
     def test_figures_share_a_runner_cache(self, cfg):
         with SweepRunner() as runner:

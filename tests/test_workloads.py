@@ -308,3 +308,56 @@ class TestRegistry:
     def test_get_workload_respects_machine(self, tiny_machine):
         trace = get_workload("ocean", machine=tiny_machine, scale=0.01)
         assert trace.num_procs == tiny_machine.num_processors
+
+
+#: ``trace_digest`` of every stock application on the experiment machine,
+#: recorded before the touch phase was vectorized; any change to the
+#: generator's streams or its RNG call sequence moves them.
+GOLDEN_DIGESTS = {
+    ("barnes", 0.15, 0): "b4857e4fb6d3dab90c47fcbe732c1e47",
+    ("cholesky", 0.15, 0): "f7d6fad2641e742bea7d0d33c59d8dc4",
+    ("fmm", 0.15, 0): "4ebfd581898d3928fa9e190cc37bfff1",
+    ("lu", 0.15, 0): "5b5b24dadee3aef9390ed2f775458ac0",
+    ("ocean", 0.15, 0): "cf15f400331cef8d8eadfcb1a088d134",
+    ("radix", 0.15, 0): "1b88feeef4bd1dffd7c46f2e9cd05d4b",
+    ("raytrace", 0.15, 0): "f720c1379016d11a560f85e48c8b22b9",
+    ("barnes", 0.15, 1): "b4c89d3024ea0c680695ec6d73684283",
+    ("cholesky", 0.15, 1): "a9bee65578d5bb101251d90655253f73",
+    ("fmm", 0.15, 1): "8f549e86370fe08980bcde37c7ff9982",
+    ("lu", 0.15, 1): "f87ff4bc64c5ec689ed541cfdb4db86b",
+    ("ocean", 0.15, 1): "f91976433b43d03f63b467da3f2f5074",
+    ("radix", 0.15, 1): "4926d293ac5eb0320f57d8a8340fd43c",
+    ("raytrace", 0.15, 1): "960ac5faa9920e26c70d681c46f39c4e",
+    ("barnes", 0.5, 0): "b1350db4d9f1a62c3a0bff225c71c005",
+    ("cholesky", 0.5, 0): "dd1b848e212d994ed9f2658b75713383",
+    ("fmm", 0.5, 0): "51f2d489cc282e0a3f369ce34dc001a0",
+    ("lu", 0.5, 0): "77d2bd23c4b2354cc505c83faef2f3ce",
+    ("ocean", 0.5, 0): "08ddc235ea614acfc17d6b61b3c56c0b",
+    ("radix", 0.5, 0): "b55a6729fad3ac346cf43f96b5cd216a",
+    ("raytrace", 0.5, 0): "3db1e0bdd5a74b7d2018d4f561e16fb0",
+    ("barnes", 0.5, 1): "4b5a6904c1a029a69b9604de11a3caf3",
+    ("cholesky", 0.5, 1): "45930efd0eefab22204cda24eec56edb",
+    ("fmm", 0.5, 1): "de6b867f63064fd6240ab5d274e45884",
+    ("lu", 0.5, 1): "3b28342efec7281126261dc653303cad",
+    ("ocean", 0.5, 1): "50346c8b72b81c22b44932af589fbb2a",
+    ("radix", 0.5, 1): "72cbf9ca6dadbbc0383145bcb3d4f773",
+    ("raytrace", 0.5, 1): "dd8ed4484d3d2ecdac63c98f39b4c60f",
+}
+
+
+class TestGoldenDigests:
+    """The stock traces stay bit for bit what the experiments were run on."""
+
+    @pytest.mark.parametrize("scale,seed", [(0.15, 0), (0.15, 1),
+                                            (0.5, 0), (0.5, 1)])
+    def test_stock_trace_digests(self, scale, seed):
+        from repro.config import base_config
+        from repro.workloads.tracefile import trace_digest
+
+        machine = base_config(seed=seed).machine
+        got = {(app, scale, seed): trace_digest(
+                   get_workload(app, machine=machine, scale=scale, seed=seed))
+               for app in list_workloads()}
+        want = {key: value for key, value in GOLDEN_DIGESTS.items()
+                if key[1:] == (scale, seed)}
+        assert got == want
